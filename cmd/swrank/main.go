@@ -190,11 +190,7 @@ func runSerial(o *options) error {
 	}
 	pool := par.NewPool(workers)
 	defer pool.Close()
-	newRunner := sw.NewPlanRunner
-	if o.taskplan {
-		newRunner = sw.NewTaskPlanRunner
-	}
-	r, err := newRunner(s, pool)
+	r, err := sw.Compile(s, pool, sw.PlanOptions{Tasks: o.taskplan})
 	if err != nil {
 		return err
 	}

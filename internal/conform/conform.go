@@ -77,6 +77,10 @@ type Result struct {
 	// was run with stage recording; used to localize the FIRST divergence
 	// by RK step and stage. Empty otherwise.
 	Stages []StageState
+	// Fallbacks counts the steps that had a compiled plan attached but ran
+	// the kernel-by-kernel loop instead (sw_step_fallback_total); zero for
+	// strategies that do not step an sw.Solver directly.
+	Fallbacks int64
 }
 
 // NamedCase builds one of the repository's named test cases on mesh m.

@@ -124,6 +124,9 @@ func TestFast32IsActuallyFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Fallbacks != 0 {
+		t.Errorf("%d of %d fast32 steps fell back to the float64 kernel loop", res.Fallbacks, c.Steps)
+	}
 	d := CompareStates(ref.H, ref.U, res.H, res.U)
 	if d.RelLInf < 1e-9 {
 		t.Errorf("fast32 result is float64-close to the baseline (rel_linf=%.3e); "+

@@ -62,7 +62,7 @@ func TestResumeEquivalence(t *testing.T) {
 		}},
 		{"plan-w4", func(s *sw.Solver) (func(), error) {
 			pool := par.NewPool(4)
-			r, err := sw.NewPlanRunner(s, pool)
+			r, err := sw.Compile(s, pool, sw.PlanOptions{})
 			if err != nil {
 				pool.Close()
 				return nil, err
@@ -72,7 +72,7 @@ func TestResumeEquivalence(t *testing.T) {
 		}},
 		{"taskplan-w4", func(s *sw.Solver) (func(), error) {
 			pool := par.NewPool(4)
-			r, err := sw.NewTaskPlanRunner(s, pool)
+			r, err := sw.Compile(s, pool, sw.PlanOptions{Tasks: true})
 			if err != nil {
 				pool.Close()
 				return nil, err
@@ -142,7 +142,7 @@ func TestResumeAcrossTaskPlanFlag(t *testing.T) {
 
 	attachPlan := func(s *sw.Solver) (func(), error) {
 		pool := par.NewPool(4)
-		r, err := sw.NewPlanRunner(s, pool)
+		r, err := sw.Compile(s, pool, sw.PlanOptions{})
 		if err != nil {
 			pool.Close()
 			return nil, err
@@ -152,7 +152,7 @@ func TestResumeAcrossTaskPlanFlag(t *testing.T) {
 	}
 	attachTask := func(s *sw.Solver) (func(), error) {
 		pool := par.NewPool(4)
-		r, err := sw.NewTaskPlanRunner(s, pool)
+		r, err := sw.Compile(s, pool, sw.PlanOptions{Tasks: true})
 		if err != nil {
 			pool.Close()
 			return nil, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpisim"
 	"repro/internal/par"
 	"repro/internal/sw"
+	"repro/internal/telemetry"
 )
 
 // Strategy is one way of executing a Case's trajectory.
@@ -45,6 +46,8 @@ func (st Strategy) Run(c *Case, recordStages bool) (*Result, error) {
 // invariants each step and (optionally) every substep state.
 func runSolver(s *sw.Solver, c *Case, recordStages bool) *Result {
 	res := &Result{}
+	reg := telemetry.NewRegistry()
+	s.EnableTelemetry(nil, reg)
 	if recordStages {
 		step := 0
 		s.PostSubstep = func(stage int, st *sw.State) {
@@ -68,6 +71,7 @@ func runSolver(s *sw.Solver, c *Case, recordStages bool) *Result {
 	}
 	res.H = cloneField(s.State.H)
 	res.U = cloneField(s.State.U)
+	res.Fallbacks = reg.Counter("sw_step_fallback_total").Value()
 	return res
 }
 
@@ -111,16 +115,12 @@ func Threaded(workers int) Strategy {
 	})
 }
 
-// Plan is the data-flow-compiled step: the whole RK-4 step lowered into one
-// flat schedule executed inside a single parallel region, with barriers only
-// at true dependency frontiers. Arithmetic is bitwise-identical to the gather
-// baseline (fusion and liveness elision never reassociate a sum), so the
-// strategy is exact.
-func Plan(workers int) Strategy {
-	name := fmt.Sprintf("plan-w%d", workers)
-	return solverStrategy(name, true, func(s *sw.Solver) (func(), error) {
+// compiled builds a strategy that steps through sw.Compile(opts) on a
+// workers-wide pool.
+func compiled(name string, exact bool, workers int, opts sw.PlanOptions) Strategy {
+	return solverStrategy(name, exact, func(s *sw.Solver) (func(), error) {
 		pool := par.NewPool(workers)
-		r, err := sw.NewPlanRunner(s, pool)
+		r, err := sw.Compile(s, pool, opts)
 		if err != nil {
 			pool.Close()
 			return nil, err
@@ -128,6 +128,15 @@ func Plan(workers int) Strategy {
 		s.Runner = r
 		return pool.Close, nil
 	})
+}
+
+// Plan is the data-flow-compiled step: the whole RK-4 step lowered into one
+// flat schedule executed inside a single parallel region, with barriers only
+// at true dependency frontiers. Arithmetic is bitwise-identical to the gather
+// baseline (fusion and liveness elision never reassociate a sum), so the
+// strategy is exact.
+func Plan(workers int) Strategy {
+	return compiled(fmt.Sprintf("plan-w%d", workers), true, workers, sw.PlanOptions{})
 }
 
 // TaskPlanned is the task-dataflow execution of the compiled step: the same
@@ -138,17 +147,7 @@ func Plan(workers int) Strategy {
 // so any steal-induced interleaving is a legal topological order of identical
 // arithmetic: exact.
 func TaskPlanned(workers int) Strategy {
-	name := fmt.Sprintf("taskplan-w%d", workers)
-	return solverStrategy(name, true, func(s *sw.Solver) (func(), error) {
-		pool := par.NewPool(workers)
-		r, err := sw.NewTaskPlanRunner(s, pool)
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-		s.Runner = r
-		return pool.Close, nil
-	})
+	return compiled(fmt.Sprintf("taskplan-w%d", workers), true, workers, sw.PlanOptions{Tasks: true})
 }
 
 // Fast32Band is the documented per-step relative-error band of the float32
@@ -160,27 +159,35 @@ func TaskPlanned(workers int) Strategy {
 // the tolerance stays honest.
 const Fast32Band = 5e-6
 
-// Fast32 is the float32 fast-mode step (sw.Fast32Runner): the whole RK-4
-// step computed in single precision over CSR-packed SoA arrays, loading from
-// and storing to the float64 state around each step. Not exact by
-// construction; held to Fast32Band per step. Stage recording is forcibly
-// disabled: a PostSubstep hook would silently route the run through the
-// float64 path, and a fast32 result must actually measure fast32.
+// Fast32 is the compiled plan at single precision (sw.PlanOptions.Float32):
+// the same step program over a private float32 working set, loading from and
+// storing to the float64 state around each step. Not exact by construction;
+// held to Fast32Band per step.
 func Fast32(workers int) Strategy {
-	name := fmt.Sprintf("fast32-w%d", workers)
-	st := solverStrategy(name, false, func(s *sw.Solver) (func(), error) {
-		pool := par.NewPool(workers)
-		r, err := sw.NewFast32Runner(s, pool)
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-		s.Runner = r
-		return pool.Close, nil
-	})
+	return fast32(fmt.Sprintf("fast32-w%d", workers), workers, sw.PlanOptions{Float32: true})
+}
+
+// Fast32TaskPlanned is Fast32 executed as a task graph; bitwise-identical to
+// Fast32 (same closures, same ranges), so it sits in the same band.
+func Fast32TaskPlanned(workers int) Strategy {
+	return fast32(fmt.Sprintf("fast32-taskplan-w%d", workers), workers, sw.PlanOptions{Float32: true, Tasks: true})
+}
+
+// fast32 never records stages: a float32 plan has no hook slots, so a
+// PostSubstep hook would route every step through the float64 kernel loop —
+// and any such fallback (Result.Fallbacks) is an error here, not a float64
+// result labelled fast32.
+func fast32(name string, workers int, opts sw.PlanOptions) Strategy {
+	st := compiled(name, false, workers, opts)
 	st.RelBand = Fast32Band
 	inner := st.run
-	st.run = func(c *Case, _ bool) (*Result, error) { return inner(c, false) }
+	st.run = func(c *Case, _ bool) (*Result, error) {
+		res, err := inner(c, false)
+		if err == nil && res.Fallbacks != 0 {
+			err = fmt.Errorf("%d of %d steps fell back to the float64 kernel loop", res.Fallbacks, c.Steps)
+		}
+		return res, err
+	}
 	return st
 }
 
@@ -325,6 +332,8 @@ func AllStrategies() []Strategy {
 		MPI(4),
 		Fast32(1),
 		Fast32(4),
+		Fast32TaskPlanned(1),
+		Fast32TaskPlanned(4),
 	}
 }
 

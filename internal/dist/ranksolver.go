@@ -28,7 +28,7 @@ func DefaultMesh(level int) (*mesh.Mesh, error) {
 
 // RankSolver is one process-rank of a distributed shallow-water run: the
 // TCP counterpart of mpisim.RankSolver. Overlap mode steps through the
-// comm/compute-overlapped compiled plan (sw.NewOverlapPlanRunner); blocking
+// comm/compute-overlapped compiled plan (sw.PlanOptions.Overlap); blocking
 // mode steps through the plain compiled plan with the exchange in the
 // PostSubstep hook slot. Both modes use the same Exchanger, links and
 // frames, so their difference is scheduling alone.
@@ -54,11 +54,10 @@ type RankOptions struct {
 	// means the blocking plan with the exchange in the PostSubstep slot.
 	Overlap bool
 	// TaskPlan lowers whichever schedule Overlap selected into the
-	// dependency-counted task graph (sw.NewTaskPlanRunner /
-	// sw.NewOverlapTaskPlanRunner): same ops, same ranges, no level
-	// barriers. With Overlap, a stage's halo Wait gates only that stage's
-	// boundary-slice tasks, so interior work keeps flowing while frames are
-	// in flight. Trajectories are bitwise-unchanged either way.
+	// dependency-counted task graph (sw.PlanOptions.Tasks): same ops, same
+	// ranges, no level barriers. With Overlap, a stage's halo Wait gates only
+	// that stage's boundary-slice tasks, so interior work keeps flowing while
+	// frames are in flight. Trajectories are bitwise-unchanged either way.
 	TaskPlan bool
 }
 
@@ -117,8 +116,9 @@ func NewRankSolverOpts(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw
 		}
 	}
 
+	popts := sw.PlanOptions{Tasks: opts.TaskPlan}
 	if opts.Overlap {
-		ov := &sw.Overlap{
+		popts.Overlap = &sw.Overlap{
 			Post: func(stage int, st *sw.State) { rs.Ex.Post(st.H, st.U) },
 			Wait: func(stage int, st *sw.State) {
 				if err := rs.Ex.Wait(st.H, st.U); err != nil && rs.err == nil {
@@ -129,31 +129,18 @@ func NewRankSolverOpts(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw
 			InteriorEdges:    l.InteriorEdges,
 			InteriorVertices: l.InteriorVertices,
 		}
-		newRunner := sw.NewOverlapPlanRunner
-		if opts.TaskPlan {
-			newRunner = sw.NewOverlapTaskPlanRunner
-		}
-		runner, err := newRunner(s, pool, ov)
-		if err != nil {
-			return nil, err
-		}
-		s.Runner = runner
 	} else {
-		newRunner := sw.NewPlanRunner
-		if opts.TaskPlan {
-			newRunner = sw.NewTaskPlanRunner
-		}
-		runner, err := newRunner(s, pool)
-		if err != nil {
-			return nil, err
-		}
-		s.Runner = runner
 		s.PostSubstep = func(stage int, st *sw.State) {
 			if err := rs.Ex.Exchange(st.H, st.U); err != nil && rs.err == nil {
 				rs.err = err
 			}
 		}
 	}
+	runner, err := sw.Compile(s, pool, popts)
+	if err != nil {
+		return nil, err
+	}
+	s.Runner = runner
 
 	setup(s)
 	// Same bootstrap as mpisim: one exchange so a not-purely-analytic setup

@@ -306,7 +306,7 @@ func TestHostRunnerDelegation(t *testing.T) {
 	del := mk()
 	eDel := NewHybridSolver(del, KernelLevelSchedule(), 2, 2)
 	defer eDel.Close()
-	pr, err := sw.NewPlanRunner(del, eDel.HostPool)
+	pr, err := sw.Compile(del, eDel.HostPool, sw.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // NewOverlapRankSolver builds a rank solver whose step runs through an
-// overlap-scheduled compiled plan (sw.NewOverlapPlanRunner): instead of the
+// overlap-scheduled compiled plan (sw.PlanOptions.Overlap): instead of the
 // blocking PostSubstep exchange, each substage posts its halo sends, computes
 // the interior of the diagnostics while messages are in flight, then unpacks
 // and finishes the boundary slices. The communication substrate is the same
@@ -46,7 +46,7 @@ func NewOverlapRankSolver(c *Comm, d *Decomposition, cfg sw.Config, setup func(*
 		InteriorEdges:    l.InteriorEdges,
 		InteriorVertices: l.InteriorVertices,
 	}
-	runner, err := sw.NewOverlapPlanRunner(s, pool, ov)
+	runner, err := sw.Compile(s, pool, sw.PlanOptions{Overlap: ov})
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/conform"
 )
 
-// TestFloat32JobRuns submits a float32 fast-mode job through the HTTP API,
-// lets it complete, and holds the served trajectory to the documented
+// TestFloat32JobRuns submits a float32 fast-mode job through the HTTP API
+// under each compiled mode, lets it complete, and holds the served trajectory to the documented
 // fast-mode band against a float64 reference — while also requiring it to
 // actually differ from the reference (a silent float64 fallback would pass
 // any band). Checkpoints are float64 regardless of job precision, so the
@@ -18,23 +18,25 @@ import (
 func TestFloat32JobRuns(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	const steps = 8
-
-	st := submitJob(t, ts.URL, JobSpec{TestCase: 5, Level: 2, Mode: "plan",
-		Precision: "float32", Steps: steps})
-	st = waitState(t, ts.URL, st.ID, StateCompleted)
-	if st.Spec.Precision != "float32" {
-		t.Fatalf("completed spec lost its precision: %+v", st.Spec)
-	}
-
-	served := fetchFinalState(t, ts.URL, st.ID, 2)
 	ref := referenceRun(t, 2, steps)
-	d := conform.CompareStates(ref.State.H, ref.State.U, served.State.H, served.State.U)
-	band := conform.Fast32Band * float64(steps+1)
-	if d.RelLInf > band || d.RelL2 > band {
-		t.Errorf("float32 job outside the documented band %.1e: %v", band, d)
-	}
-	if d.RelLInf < 1e-9 {
-		t.Errorf("float32 job is float64-close to the reference (%v); fast path did not run", d)
+
+	for _, mode := range []string{"plan", "taskplan"} {
+		st := submitJob(t, ts.URL, JobSpec{TestCase: 5, Level: 2, Mode: mode,
+			Precision: "float32", Steps: steps})
+		st = waitState(t, ts.URL, st.ID, StateCompleted)
+		if st.Spec.Precision != "float32" {
+			t.Fatalf("%s: completed spec lost its precision: %+v", mode, st.Spec)
+		}
+
+		served := fetchFinalState(t, ts.URL, st.ID, 2)
+		d := conform.CompareStates(ref.State.H, ref.State.U, served.State.H, served.State.U)
+		band := conform.Fast32Band * float64(steps+1)
+		if d.RelLInf > band || d.RelL2 > band {
+			t.Errorf("%s: float32 job outside the documented band %.1e: %v", mode, band, d)
+		}
+		if d.RelLInf < 1e-9 {
+			t.Errorf("%s: float32 job is float64-close to the reference (%v); fast path did not run", mode, d)
+		}
 	}
 }
 

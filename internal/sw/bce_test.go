@@ -16,7 +16,8 @@ import (
 // the compiled hot loops: it recompiles this package with the compiler's
 // bounds-check diagnostic pass (-d=ssa/check_bce) and fails if any
 // IsInBounds/IsSliceInBounds check — a panicIndex call site in the generated
-// code — is attributed to plan_kernels.go or fast32_kernels.go. The build
+// code — is attributed to csr_kernels.go, the one file of compiled kernel
+// closures (both precisions are instantiated from it). The build
 // cache keys on file content, so a cached compile would print nothing; a
 // nonce comment is appended through a -overlay file to force exactly this
 // package to recompile every run.
@@ -30,13 +31,13 @@ func TestHotKernelsBoundsCheckFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := filepath.Join(root, "internal", "sw", "plan_kernels.go")
+	hot := filepath.Join(root, "internal", "sw", "csr_kernels.go")
 	src, err := os.ReadFile(hot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := t.TempDir()
-	replaced := filepath.Join(tmp, "plan_kernels.go")
+	replaced := filepath.Join(tmp, "csr_kernels.go")
 	nonce := fmt.Sprintf("\n// bce-gate nonce %d\n", time.Now().UnixNano())
 	if err := os.WriteFile(replaced, append(src, nonce...), 0o644); err != nil {
 		t.Fatal(err)
@@ -62,12 +63,12 @@ func TestHotKernelsBoundsCheckFree(t *testing.T) {
 	diag := string(out)
 
 	// Negative control: the diagnostic pass must actually have fired — the
-	// generic kernels in kernels.go legitimately keep bounds checks.
+	// range kernels in kernels.go legitimately keep bounds checks.
 	if !strings.Contains(diag, "Found IsInBounds") && !strings.Contains(diag, "Found IsSliceInBounds") {
 		t.Fatalf("no bounds-check diagnostics in the build output at all; the gate is not measuring anything:\n%s", diag)
 	}
 
-	re := regexp.MustCompile(`(?m)^.*(plan_kernels|fast32_kernels)\.go:\d+:\d+: Found Is(Slice)?InBounds.*$`)
+	re := regexp.MustCompile(`(?m)^.*csr_kernels\.go:\d+:\d+: Found Is(Slice)?InBounds.*$`)
 	if hits := re.FindAllString(diag, -1); len(hits) > 0 {
 		t.Errorf("bounds checks survive in the compiled hot kernels (%d):\n%s",
 			len(hits), strings.Join(hits, "\n"))

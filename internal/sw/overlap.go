@@ -3,7 +3,6 @@ package sw
 import (
 	"fmt"
 
-	"repro/internal/par"
 	"repro/internal/pattern"
 )
 
@@ -53,34 +52,6 @@ type Overlap struct {
 	InteriorVertices func(t int) int
 }
 
-// NewOverlapPlanRunner compiles the step plan for s and overlays every
-// stage's hook slot with the Post / interior / Wait / boundary split. The
-// solver must have no PostSubstep hook installed when stepping through the
-// returned runner (Step falls back to the blocking kernel loop otherwise);
-// the exchange rides on ov instead. Init and tracer paths still run the
-// full-range kernel plans — callers must only invoke them when halos are
-// consistent, exactly as with the blocking rank solver.
-func NewOverlapPlanRunner(s *Solver, pool *par.Pool, ov *Overlap) (*PlanRunner, error) {
-	if ov == nil || ov.Post == nil || ov.Wait == nil ||
-		ov.InteriorCells == nil || ov.InteriorEdges == nil || ov.InteriorVertices == nil {
-		return nil, fmt.Errorf("sw: overlap runner needs all Overlap callbacks")
-	}
-	r, err := NewPlanRunner(s, pool)
-	if err != nil {
-		return nil, err
-	}
-	op, err := r.overlayPlan(r.stepPlan, ov)
-	if err != nil {
-		return nil, err
-	}
-	if err := verifyOverlay(r.stepPlan, op); err != nil {
-		return nil, err
-	}
-	r.stepPlan = op
-	r.ov = ov
-	return r, nil
-}
-
 // threshold returns the staleness threshold of sp given the current taint
 // map: the maximum over its tainted reads of taint+1 (stencil) or taint+0
 // (pointwise ShapeX), or -1 if it reads nothing tainted. Non-X shapes treat
@@ -120,10 +91,10 @@ func (r *PlanRunner) interiorCount(ov *Overlap, sp opSpec, t int) (int, error) {
 	return n, nil
 }
 
-// offsetRanges statically partitions [lo,hi) across nw workers (chunk
-// boundaries 8-aligned relative to lo, like alignedRanges).
-func offsetRanges(lo, hi, nw int) [][2]int32 {
-	rs := alignedRanges(hi-lo, nw)
+// offsetRanges statically partitions [lo,hi) across the workers (chunk
+// boundaries aligned relative to lo, like alignedRanges).
+func (r *PlanRunner) offsetRanges(lo, hi int) [][2]int32 {
+	rs := alignedRanges(hi-lo, r.pool.Workers(), r.align)
 	for w := range rs {
 		rs[w][0] += int32(lo)
 		rs[w][1] += int32(lo)
@@ -141,7 +112,6 @@ func offsetRanges(lo, hi, nw int) [][2]int32 {
 // the identical-partition premise of the locality predicate that let the
 // original schedule elide some of them.
 func (r *PlanRunner) overlayPlan(p *plan, ov *Overlap) (*plan, error) {
-	nw := r.pool.Workers()
 	q := &plan{s: p.s, ov: ov, specs: p.specs}
 	for i := 0; i < len(p.ops); i++ {
 		op := p.ops[i]
@@ -197,7 +167,7 @@ func (r *PlanRunner) overlayPlan(p *plan, ov *Overlap) (*plan, error) {
 				hi = sl.ic
 				o.id = sp.id + ":int"
 			}
-			o.ranges = offsetRanges(0, hi, nw)
+			o.ranges = r.offsetRanges(0, hi)
 			o.barrier = true
 			q.ops = append(q.ops, o)
 			q.order = append(q.order, p.order[sl.pos])
@@ -215,7 +185,7 @@ func (r *PlanRunner) overlayPlan(p *plan, ov *Overlap) (*plan, error) {
 			o := p.ops[sl.pos]
 			sp := p.specs[p.order[sl.pos]]
 			o.id = sp.id + ":bnd"
-			o.ranges = offsetRanges(sl.ic, sp.n, nw)
+			o.ranges = r.offsetRanges(sl.ic, sp.n)
 			o.barrier = true
 			q.ops = append(q.ops, o)
 			q.order = append(q.order, p.order[sl.pos])

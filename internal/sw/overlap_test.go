@@ -1,6 +1,7 @@
 package sw_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestOverlapSplitExtremesBitwiseNeutral(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, width := range []int{0, 1 << 20} {
 			ref := newTC2Solver(t, 3)
-			ref.Runner = sw.MustNewPlanRunner(ref, nil)
+			ref.Runner = sw.MustCompile(ref, nil, sw.PlanOptions{})
 			ref.Run(3)
 
 			s := newTC2Solver(t, 3)
@@ -53,8 +54,7 @@ func TestOverlapSplitExtremesBitwiseNeutral(t *testing.T) {
 			defer pool.Close()
 			m := s.M
 			var posts, waits int
-			ovr, err := sw.NewOverlapPlanRunner(s, pool,
-				noopOverlap(m.NCells, m.NEdges, m.NVertices, width, &posts, &waits))
+			ovr, err := sw.Compile(s, pool, sw.PlanOptions{Overlap: noopOverlap(m.NCells, m.NEdges, m.NVertices, width, &posts, &waits)})
 			if err != nil {
 				t.Fatalf("workers=%d width=%d: %v", workers, width, err)
 			}
@@ -105,7 +105,7 @@ func TestOverlapRealDepthSplitBitwiseNeutral(t *testing.T) {
 		return s
 	}
 	ref := newLocal()
-	ref.Runner = sw.MustNewPlanRunner(ref, nil)
+	ref.Runner = sw.MustCompile(ref, nil, sw.PlanOptions{})
 	ref.Run(3)
 
 	for _, workers := range []int{1, 2} {
@@ -120,7 +120,7 @@ func TestOverlapRealDepthSplitBitwiseNeutral(t *testing.T) {
 			InteriorEdges:    l.InteriorEdges,
 			InteriorVertices: l.InteriorVertices,
 		}
-		r, err := sw.NewOverlapPlanRunner(s, pool, ov)
+		r, err := sw.Compile(s, pool, sw.PlanOptions{Overlap: ov})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestOverlapScheduleStructure(t *testing.T) {
 	s := newTC2Solver(t, 2)
 	m := s.M
 	var posts, waits int
-	r, err := sw.NewOverlapPlanRunner(s, nil, noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits))
+	r, err := sw.Compile(s, nil, sw.PlanOptions{Overlap: noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +194,16 @@ func TestOverlapScheduleStructure(t *testing.T) {
 	}
 }
 
-func TestOverlapRunnerRejectsMissingCallbacks(t *testing.T) {
+func TestCompileRejectsBadOverlap(t *testing.T) {
 	s := newTC2Solver(t, 2)
-	if _, err := sw.NewOverlapPlanRunner(s, nil, nil); err == nil {
-		t.Fatal("nil Overlap accepted")
-	}
-	if _, err := sw.NewOverlapPlanRunner(s, nil, &sw.Overlap{}); err == nil {
+	if _, err := sw.Compile(s, nil, sw.PlanOptions{Overlap: &sw.Overlap{}}); err == nil {
 		t.Fatal("empty Overlap accepted")
+	}
+	m := s.M
+	var posts, waits int
+	ov := noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits)
+	if _, err := sw.Compile(s, nil, sw.PlanOptions{Float32: true, Overlap: ov}); !errors.Is(err, sw.ErrFloat32Overlap) {
+		t.Fatalf("float32 + overlap: got %v, want ErrFloat32Overlap", err)
 	}
 }
 
@@ -219,7 +222,7 @@ func TestOverlapRunnerFallsBackUnderHook(t *testing.T) {
 	s := newTC2Solver(t, 2)
 	m := s.M
 	var posts, waits int
-	r, err := sw.NewOverlapPlanRunner(s, nil, noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits))
+	r, err := sw.Compile(s, nil, sw.PlanOptions{Overlap: noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits)})
 	if err != nil {
 		t.Fatal(err)
 	}

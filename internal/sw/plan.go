@@ -1,6 +1,7 @@
 package sw
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -165,8 +166,8 @@ func (p *plan) run(t *par.Team) {
 // execution plan (Step() takes the plan path when a PlanRunner is attached
 // and no tracers are registered). For anything else — Init, tracer runs,
 // direct kernel invocations — RunKernel executes the kernel's original
-// patterns through a per-kernel compiled schedule with no elision, so all
-// diagnostics (including ones the step plan elides) are computed there.
+// float64 patterns through a per-kernel compiled schedule with no elision,
+// so all diagnostics (including ones the step plan elides) are computed there.
 //
 // A plan step maintains the prognostic state, the invariant diagnostics
 // (ke, h_vertex, pv_vertex) and everything the next step consumes; purely
@@ -182,35 +183,60 @@ type PlanRunner struct {
 	// (e.g. a test-case setup flipping AdvectionOnly after construction).
 	cfg Config
 
-	// csr is the packed, index-validated image of the mesh adjacency the
-	// compiled kernels gather through (see mesh.PackCSR); the pack-time
-	// validation is what licenses their unchecked loads.
-	csr *mesh.CSR
-
-	// Hoisted gather weights, packed by csr.CellPtr (wA1, wA3, wKite) and
-	// by vertex degree (wE); see buildWeights.
-	wA1, wA3, wKite, wE []float64
-
-	// ov is non-nil on runners built by NewOverlapPlanRunner: the step plan
-	// carries post/wait exchange ops instead of hook slots, and Step takes
-	// the plan path only while s.PostSubstep stays nil.
-	ov *Overlap
+	// hooks reports whether the step plan carries PostSubstep slots. An
+	// overlaid plan turned them into post/wait exchange ops and a float32
+	// plan has none (a hook could not see its float32 intermediates), so
+	// Step takes those plans only while s.PostSubstep stays nil.
+	hooks bool
+	// spanName is the step's trace span.
+	spanName string
 
 	stepPlan    *plan
 	kernelPlans map[*Kernel]*plan
-	rangeCache  map[int][][2]int32
-	elided      []string
+	// align is the worker-range granularity in elements: one cache line of
+	// the plan's element type.
+	align      int
+	rangeCache map[int][][2]int32
+	elided     []string
 
-	// tasks is non-nil on runners built by NewTaskPlanRunner /
-	// NewOverlapTaskPlanRunner: the step plan lowered once more, from a
-	// level-barrier schedule to a dependency-counted task graph
-	// (taskplan.go), which step() then runs instead of the barrier region.
+	// tasks is non-nil when compiled with PlanOptions.Tasks: the step plan
+	// lowered once more, from a level-barrier schedule to a
+	// dependency-counted task graph (taskplan.go), which step() then runs
+	// instead of the barrier region.
 	tasks *par.TaskGraph
 }
 
-// planCompiles counts NewPlanRunner compilations process-wide. Ensemble
-// serving rides on the guarantee that K members share ONE compiled plan;
-// tests pin that by asserting this counter's delta.
+// PlanOptions are the three independent choices in compiling a step: the
+// arithmetic precision, barrier or task execution, and whether the halo
+// exchange is overlapped with interior compute.
+type PlanOptions struct {
+	// Float32 computes the whole step in single precision over a private
+	// float32 working set (see kernelSet), streaming half the bytes; the
+	// trajectory tracks the float64 one within conform.Fast32Band per step.
+	Float32 bool
+	// Tasks lowers the schedule into a dependency-counted task graph run on
+	// work-stealing deques instead of a level-barrier region (taskplan.go).
+	// Bitwise-identical to barrier execution.
+	Tasks bool
+	// Overlap, when non-nil, overlays every stage's hook slot with the
+	// Post / interior / Wait / boundary split of overlap.go; the exchange
+	// rides on it instead of s.PostSubstep. Init and tracer paths still run
+	// the full-range kernel plans — callers must only invoke them when
+	// halos are consistent, exactly as with a blocking rank solver.
+	Overlap *Overlap
+}
+
+// cacheLine is the coherence granularity worker ranges are aligned to, bytes.
+const cacheLine = 64
+
+// ErrFloat32Overlap rejects PlanOptions{Float32, Overlap}: the halo exchange
+// packs the solver's float64 state, and a float32 plan's intermediate states
+// never reach it.
+var ErrFloat32Overlap = errors.New("sw: a float32 plan cannot overlap the halo exchange (its intermediate states are float32-private)")
+
+// planCompiles counts Compile calls process-wide. Ensemble serving rides on
+// the guarantee that K members share ONE compiled plan; tests pin that by
+// asserting this counter's delta.
 var planCompiles atomic.Int64
 
 // PlanCompileCount returns the number of plan compilations performed by
@@ -218,33 +244,65 @@ var planCompiles atomic.Int64
 // the compilations it triggered).
 func PlanCompileCount() int64 { return planCompiles.Load() }
 
-// NewPlanRunner compiles the execution plan for s. The pool provides the
-// worker team (nil means serial); the caller keeps ownership of it. The
-// returned runner is specific to s and to the pool's worker count.
-func NewPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
+// Compile compiles the execution plan for s. The pool provides the worker
+// team (nil means serial); the caller keeps ownership of it. The returned
+// runner is specific to s, to its configuration at this moment, and to the
+// pool's worker count.
+func Compile(s *Solver, pool *par.Pool, opts PlanOptions) (*PlanRunner, error) {
+	ov := opts.Overlap
+	if ov != nil {
+		if opts.Float32 {
+			return nil, ErrFloat32Overlap
+		}
+		if ov.Post == nil || ov.Wait == nil ||
+			ov.InteriorCells == nil || ov.InteriorEdges == nil || ov.InteriorVertices == nil {
+			return nil, fmt.Errorf("sw: overlap plan needs all Overlap callbacks")
+		}
+	}
 	planCompiles.Add(1)
 	if pool == nil {
 		pool = par.NewPool(1)
 	}
-	r := &PlanRunner{s: s, pool: pool, cfg: s.Cfg, rangeCache: map[int][][2]int32{}}
 	csr, err := s.M.PackCSR()
 	if err != nil {
 		return nil, fmt.Errorf("sw: packing mesh adjacency: %w", err)
 	}
-	r.csr = csr
 	if err := checkSolverShapes(s, csr); err != nil {
 		return nil, fmt.Errorf("sw: plan shapes: %w", err)
 	}
-	r.buildWeights()
-
-	specs := r.stepSpecs()
-	kept, elided := elideDead(specs, stepRoots)
-	r.elided = elided
-	p, err := r.compile(splitStages(kept))
-	if err != nil {
+	r := &PlanRunner{s: s, pool: pool, cfg: s.Cfg, rangeCache: map[int][][2]int32{},
+		spanName: "rk4_step_plan"}
+	if opts.Tasks {
+		r.spanName = "rk4_step_taskplan"
+	}
+	var scopes [][]opSpec
+	if opts.Float32 {
+		r.spanName = "rk4_step_fast32"
+		r.align = cacheLine / 4
+		scopes, r.elided = stepProgram(kernels32(s, csr))
+	} else {
+		r.align = cacheLine / 8
+		r.hooks = ov == nil
+		scopes, r.elided = stepProgram(kernels64(s, csr))
+	}
+	if r.stepPlan, err = r.compile(scopes); err != nil {
 		return nil, fmt.Errorf("sw: step plan: %w", err)
 	}
-	r.stepPlan = p
+	if ov != nil {
+		op, err := r.overlayPlan(r.stepPlan, ov)
+		if err != nil {
+			return nil, err
+		}
+		if err := verifyOverlay(r.stepPlan, op); err != nil {
+			return nil, err
+		}
+		r.stepPlan = op
+	}
+	if opts.Tasks {
+		if err := r.taskify(); err != nil {
+			return nil, err
+		}
+	}
 
 	r.kernelPlans = make(map[*Kernel]*plan, len(s.kernelOrder))
 	for _, k := range s.kernelOrder {
@@ -257,13 +315,40 @@ func NewPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
 	return r, nil
 }
 
-// MustNewPlanRunner is NewPlanRunner panicking on error.
-func MustNewPlanRunner(s *Solver, pool *par.Pool) *PlanRunner {
-	r, err := NewPlanRunner(s, pool)
+// MustCompile is Compile panicking on error.
+func MustCompile(s *Solver, pool *par.Pool, opts PlanOptions) *PlanRunner {
+	r, err := Compile(s, pool, opts)
 	if err != nil {
 		panic(err)
 	}
 	return r
+}
+
+// NewPlanRunner, NewTaskPlanRunner and NewFast32Runner are presets of
+// Compile kept for the benchmark module (bench/), which is frozen against
+// these names; everything else calls Compile.
+func NewPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
+	return Compile(s, pool, PlanOptions{})
+}
+
+func NewTaskPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
+	return Compile(s, pool, PlanOptions{Tasks: true})
+}
+
+func NewFast32Runner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
+	return Compile(s, pool, PlanOptions{Float32: true})
+}
+
+// stepProgram lowers the one step description (kernelSet.stepSpecs) into the
+// synchronization scopes compile schedules: liveness elision over the
+// four-stage body — identical for every precision — then one scope per stage,
+// wrapped in the load/store program when the kernel set is private.
+func stepProgram[T float](ks *kernelSet[T]) (scopes [][]opSpec, elided []string) {
+	body, elided := elideDead(ks.stepSpecs(!ks.private), stepRoots)
+	if ks.private {
+		return privateProgram(ks, body), elided
+	}
+	return splitStages(body), elided
 }
 
 // Elided returns the Table I ops the liveness pass removed from the step
@@ -286,48 +371,11 @@ func (r *PlanRunner) OpIDs() []string {
 	return out
 }
 
-// buildWeights precomputes the hoisted gather weights, packed by the CSR
-// row pointers so the hot loops stream them stride-1. wA1[k] is the signed
-// edge length s.signCell*DvEdge shared by A1 and A2; wA3 is A3's quadrature
-// weight (0.25*Dc)*Dv; wKite is C2's kite fraction; wE is E's signed
-// dual-edge length. Each stored product reproduces the original
-// left-associated prefix, so multiplying by the remaining factors gives the
-// original rounding exactly. (Ordinary checked indexing is fine here — this
-// is compile-time setup, not a hot loop; plan_kernels.go must stay free of
-// slice indexing for the bounds-check gate.)
-func (r *PlanRunner) buildWeights() {
-	s := r.s
-	m := s.M
-	c := r.csr
-	nnz := len(c.CellEdges)
-	r.wA1 = mesh.AlignedFloat64(nnz)
-	r.wA3 = mesh.AlignedFloat64(nnz)
-	r.wKite = mesh.AlignedFloat64(nnz)
-	for cell := 0; cell < m.NCells; cell++ {
-		lo, hi := c.CellRow(cell)
-		base := cell * mesh.MaxEdges
-		for j := 0; j < hi-lo; j++ {
-			e := m.EdgesOnCell[base+j]
-			r.wA1[lo+j] = s.signCell[base+j] * m.DvEdge[e]
-			r.wA3[lo+j] = 0.25 * m.DcEdge[e] * m.DvEdge[e]
-			r.wKite[lo+j] = s.kiteOnCell[base+j]
-		}
-	}
-	r.wE = mesh.AlignedFloat64(m.NVertices * mesh.VertexDegree)
-	for v := 0; v < m.NVertices; v++ {
-		base := v * mesh.VertexDegree
-		for j := 0; j < mesh.VertexDegree; j++ {
-			e := m.EdgesOnVertex[base+j]
-			r.wE[base+j] = s.signVertex[base+j] * m.DcEdge[e]
-		}
-	}
-}
-
 // checkSolverShapes asserts, once at compile time, that every array the
-// compiled kernels (plan_kernels.go, fast32_kernels.go) access through
-// unchecked views covers its index space. Together with the CSR pack-time
-// column validation this is the safety argument for the bounds-check-free
-// hot loops.
+// compiled kernels (csr_kernels.go) access through unchecked views covers its
+// index space (a float32 kernel set copies these arrays at these lengths).
+// Together with the CSR pack-time column validation this is the safety
+// argument for the bounds-check-free hot loops.
 func checkSolverShapes(s *Solver, csr *mesh.CSR) error {
 	m := s.M
 	nc, ne, nv := m.NCells, m.NEdges, m.NVertices
@@ -377,11 +425,7 @@ func checkSolverShapes(s *Solver, csr *mesh.CSR) error {
 // Solver.Step).
 func (r *PlanRunner) step() {
 	s := r.s
-	name := "rk4_step_plan"
-	if r.tasks != nil {
-		name = "rk4_step_taskplan"
-	}
-	span := s.Trace.StartSpan(name)
+	span := s.Trace.StartSpan(r.spanName)
 	s.cur = s.State
 	if r.tasks != nil {
 		r.tasks.Run()
@@ -430,127 +474,6 @@ func splitStages(specs []opSpec) [][]opSpec {
 		out[sp.stage] = append(out[sp.stage], sp)
 	}
 	return out
-}
-
-// stepSpecs builds the full four-stage program (before elision) in program
-// order. Variable naming follows Table I: h0/u0 is the accepted state, h/u
-// the provisional state, h_new/u_new the RK accumulator. Stage 0's tendency
-// ops read the accepted state directly (the Provis copy it replaces was
-// bitwise identical), stage 3's solve_diagnostics reads the committed state.
-func (r *PlanRunner) stepSpecs() []opSpec {
-	s := r.s
-	m := s.M
-	cfg := s.Cfg
-	nc, ne, nv := m.NCells, m.NEdges, m.NVertices
-
-	var specs []opSpec
-	add := func(sp opSpec) { specs = append(specs, sp) }
-
-	for stage := 0; stage < 4; stage++ {
-		suf := fmt.Sprintf("@%d", stage)
-		// State names seen by the tendency ops (stage 0 reads the accepted
-		// state) and by solve_diagnostics (stage 3 reads the committed state).
-		tendH, tendU := "h", "u"
-		if stage == 0 {
-			tendH, tendU = "h0", "u0"
-		}
-		diagH, diagU := "h", "u"
-		diagSt := s.Provis
-		if stage == 3 {
-			diagH, diagU = "h0", "u0"
-			diagSt = s.State
-		}
-
-		// --- fused tendency + accumulate (+ provisional or commit) -------
-		thID, tuID := "A1+X4"+suf, "B1+X1+X5"+suf
-		thReads := []string{tendU, "h_edge"}
-		thWrites := []string{"tend_h"}
-		tuReads := []string{tendU}
-		tuWrites := []string{"tend_u"}
-		if !cfg.AdvectionOnly {
-			tuReads = append(tuReads, "pv_edge", "h_edge", "ke", tendH)
-			if cfg.Viscosity != 0 {
-				tuReads = append(tuReads, "divergence", "vorticity")
-			}
-		}
-		switch stage {
-		case 0:
-			thID, tuID = "A1+X4+X2@0", "B1+X1+X5+X3@0"
-			thReads = append(thReads, "h0")
-			thWrites = append(thWrites, "h_new", "h")
-			tuWrites = append(tuWrites, "u_new", "u")
-		case 3:
-			thID, tuID = "A1+X4+commit@3", "B1+X1+X5+commit@3"
-			thReads = append(thReads, "h_new")
-			thWrites = append(thWrites, "h0")
-			tuReads = append(tuReads, "u_new")
-			tuWrites = append(tuWrites, "u0")
-		default:
-			thReads = append(thReads, "h_new")
-			thWrites = append(thWrites, "h_new")
-			tuReads = append(tuReads, "u_new")
-			tuWrites = append(tuWrites, "u_new")
-		}
-		add(opSpec{id: thID, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
-			reads: thReads, writes: thWrites, run: r.mkTendH(stage)})
-		add(opSpec{id: tuID, stage: stage, n: ne, shape: pattern.ShapeB, out: pattern.Velocity,
-			reads: tuReads, writes: tuWrites, run: r.mkTendU(stage)})
-
-		// --- provisional state (stages 1, 2 only; fused elsewhere) -------
-		if stage == 1 || stage == 2 {
-			add(opSpec{id: "X2" + suf, stage: stage, n: nc, shape: pattern.ShapeX, out: pattern.Mass,
-				reads: []string{"h0", "tend_h"}, writes: []string{"h"}, run: r.mkX2(stage)})
-			add(opSpec{id: "X3" + suf, stage: stage, n: ne, shape: pattern.ShapeX, out: pattern.Velocity,
-				reads: []string{"u0", "tend_u"}, writes: []string{"u"}, run: r.mkX3(stage)})
-		}
-
-		// --- PostSubstep hook slot ---------------------------------------
-		add(opSpec{id: "hook" + suf, stage: stage, hook: true,
-			reads: []string{diagH, diagU}, writes: []string{diagH, diagU}})
-
-		// --- compute_solve_diagnostics -----------------------------------
-		if cfg.HighOrderThickness {
-			add(opSpec{id: "C1" + suf, stage: stage, n: nc, shape: pattern.ShapeC, out: pattern.Mass,
-				reads: []string{diagH}, writes: []string{"d2fdx2_cell"}, run: r.cC1(diagSt)})
-			add(opSpec{id: "D2" + suf, stage: stage, n: ne, shape: pattern.ShapeD, out: pattern.Velocity,
-				reads: []string{diagH, "d2fdx2_cell"}, writes: []string{"h_edge"}, run: r.cD2(diagSt)})
-		} else {
-			add(opSpec{id: "D1" + suf, stage: stage, n: ne, shape: pattern.ShapeD, out: pattern.Velocity,
-				reads: []string{diagH}, writes: []string{"h_edge"}, run: r.cD1(diagSt)})
-		}
-		add(opSpec{id: "E" + suf, stage: stage, n: nv, shape: pattern.ShapeE, out: pattern.Vorticity,
-			reads: []string{diagU}, writes: []string{"vorticity"}, run: r.cE(diagSt)})
-		add(opSpec{id: "A2" + suf, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
-			reads: []string{diagU}, writes: []string{"divergence"}, run: r.cA2(diagSt)})
-		add(opSpec{id: "A3" + suf, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
-			reads: []string{diagU}, writes: []string{"ke"}, run: r.cA3(diagSt)})
-		add(opSpec{id: "F" + suf, stage: stage, n: ne, shape: pattern.ShapeF, out: pattern.Velocity,
-			reads: []string{diagU}, writes: []string{"v"}, run: r.cF(diagSt)})
-		add(opSpec{id: "G" + suf, stage: stage, n: nv, shape: pattern.ShapeG, out: pattern.Vorticity,
-			reads: []string{diagH, "vorticity"}, writes: []string{"h_vertex", "pv_vertex"}, run: r.cG(diagSt)})
-		add(opSpec{id: "C2" + suf, stage: stage, n: nc, shape: pattern.ShapeC, out: pattern.Mass,
-			reads: []string{"pv_vertex"}, writes: []string{"pv_cell"}, run: r.cC2()})
-		add(opSpec{id: "H2" + suf, stage: stage, n: nc, shape: pattern.ShapeH, out: pattern.Mass,
-			reads: []string{"vorticity"}, writes: []string{"vorticity_cell"}, run: s.patH2})
-		add(opSpec{id: "H1" + suf, stage: stage, n: ne, shape: pattern.ShapeH, out: pattern.Velocity,
-			reads: []string{"pv_vertex"}, writes: []string{"pv_edge"}, run: r.cH1()})
-		if cfg.APVM != 0 {
-			add(opSpec{id: "B2" + suf, stage: stage, n: ne, shape: pattern.ShapeB, out: pattern.Velocity,
-				reads:  []string{"pv_vertex", "pv_cell", diagU, "v", "pv_edge"},
-				writes: []string{"pv_edge"}, run: r.cB2(diagSt)})
-		}
-
-		// --- mpas_reconstruct (stage 3 only; cur == State there) ---------
-		if stage == 3 {
-			add(opSpec{id: "A4@3", stage: 3, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
-				reads:  []string{"u0"},
-				writes: []string{"uReconstructX", "uReconstructY", "uReconstructZ"}, run: s.patA4})
-			add(opSpec{id: "X6@3", stage: 3, n: nc, shape: pattern.ShapeX, out: pattern.Mass,
-				reads:  []string{"uReconstructX", "uReconstructY", "uReconstructZ"},
-				writes: []string{"uReconstructZonal", "uReconstructMeridional"}, run: s.patX6})
-		}
-	}
-	return specs
 }
 
 // liveInVars returns the variables with an upward-exposed read: read by some
@@ -670,6 +593,9 @@ func (r *PlanRunner) compile(scopes [][]opSpec) (*plan, error) {
 		for _, lv := range levels {
 			for k, j := range lv {
 				sp := scope[j]
+				if sp.run == nil && !sp.hook {
+					return nil, fmt.Errorf("sw: plan keeps op %s, which has no kernel at this precision", sp.id)
+				}
 				op := planOp{id: sp.id, stage: sp.stage, run: sp.run, hook: sp.hook,
 					barrier: k == len(lv)-1}
 				if !sp.hook {
@@ -771,26 +697,27 @@ func coverageErr(specs []opSpec, order []int, barrierAfter []bool) error {
 
 // ranges returns the per-worker static partition of [0,n), cached per index
 // space so every op over the same space uses the identical partition — the
-// property the locality predicate relies on. Boundaries are rounded up to
-// multiples of 8 elements (one cache line of float64), so adjacent workers
-// never write the same line.
+// property the locality predicate relies on.
 func (r *PlanRunner) ranges(n int) [][2]int32 {
 	if rs, ok := r.rangeCache[n]; ok {
 		return rs
 	}
-	rs := alignedRanges(n, r.pool.Workers())
+	rs := alignedRanges(n, r.pool.Workers(), r.align)
 	r.rangeCache[n] = rs
 	return rs
 }
 
-func alignedRanges(n, nw int) [][2]int32 {
+// alignedRanges partitions [0,n) across nw workers with interior boundaries
+// rounded up to multiples of align elements (a power of two: one cache line
+// of the plan's element type), so adjacent workers never write the same line.
+func alignedRanges(n, nw, align int) [][2]int32 {
 	rs := make([][2]int32, nw)
 	q := n / nw
 	lo := 0
 	for w := 0; w < nw; w++ {
 		hi := n
 		if w < nw-1 {
-			hi = (lo + q + 7) &^ 7
+			hi = (lo + q + align - 1) &^ (align - 1)
 			if hi > n {
 				hi = n
 			}

@@ -97,7 +97,7 @@ func TestPlanBitwise(t *testing.T) {
 				pool := par.NewPool(nw)
 				defer pool.Close()
 				ps := planTestSolver(t, m, cfg, 11)
-				ps.Runner = MustNewPlanRunner(ps, pool)
+				ps.Runner = MustCompile(ps, pool, PlanOptions{})
 				var planHooks []string
 				ps.PostSubstep = func(stage int, st *State) {
 					planHooks = append(planHooks, fmt.Sprintf("%d:%x:%x", stage, st.H[1], st.U[1]))
@@ -140,7 +140,7 @@ func TestPlanNoHookBitwise(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
 	ps := planTestSolver(t, m, cfg, 3)
-	ps.Runner = MustNewPlanRunner(ps, pool)
+	ps.Runner = MustCompile(ps, pool, PlanOptions{})
 	for i := 0; i < 3; i++ {
 		ref.Step()
 		ps.Step()
@@ -158,7 +158,7 @@ func TestPlanElision(t *testing.T) {
 	m := planTestMesh(t, 3)
 
 	s := planTestSolver(t, m, DefaultConfig(m), 1)
-	r := MustNewPlanRunner(s, nil)
+	r := MustCompile(s, nil, PlanOptions{})
 	want := []string{"A2@0", "A2@1", "A2@2", "A2@3", "A4@3", "H2@0", "H2@1", "H2@2", "H2@3", "X6@3"}
 	if got := fmt.Sprint(r.Elided()); got != fmt.Sprint(want) {
 		t.Errorf("default elision = %v, want %v", r.Elided(), want)
@@ -167,7 +167,7 @@ func TestPlanElision(t *testing.T) {
 	cfg := DefaultConfig(m)
 	cfg.AdvectionOnly = true
 	sa := planTestSolver(t, m, cfg, 1)
-	ra := MustNewPlanRunner(sa, nil)
+	ra := MustCompile(sa, nil, PlanOptions{})
 	elided := map[string]bool{}
 	for _, id := range ra.Elided() {
 		elided[id] = true
@@ -190,7 +190,7 @@ func TestPlanElision(t *testing.T) {
 	cfg = DefaultConfig(m)
 	cfg.Viscosity = 1e5
 	sv := planTestSolver(t, m, cfg, 1)
-	rv := MustNewPlanRunner(sv, nil)
+	rv := MustCompile(sv, nil, PlanOptions{})
 	for _, id := range rv.Elided() {
 		if strings.HasPrefix(id, "A2@") {
 			t.Errorf("viscous: A2 elided but the viscosity pass reads divergence")
@@ -209,7 +209,7 @@ func TestPlanScheduleBarrierNecessity(t *testing.T) {
 			s := planTestSolver(t, m, cfg, 1)
 			pool := par.NewPool(4)
 			defer pool.Close()
-			r := MustNewPlanRunner(s, pool)
+			r := MustCompile(s, pool, PlanOptions{})
 			p := r.stepPlan
 			if err := p.verify(); err != nil {
 				t.Fatalf("compiled schedule fails its own verification: %v", err)
@@ -241,7 +241,7 @@ func TestPlanScheduleBarrierNecessity(t *testing.T) {
 func TestPlanScheduleShape(t *testing.T) {
 	m := planTestMesh(t, 3)
 	s := planTestSolver(t, m, DefaultConfig(m), 1)
-	r := MustNewPlanRunner(s, nil)
+	r := MustCompile(s, nil, PlanOptions{})
 	ids := r.OpIDs()
 	joined := strings.Join(ids, " ")
 	for _, want := range []string{"A1+X4+X2@0", "B1+X1+X5+X3@0", "A1+X4+commit@3", "X2@1", "hook@0", "hook@3", "B2@3"} {
@@ -274,7 +274,7 @@ func TestPlanStepAllocFree(t *testing.T) {
 		pool := par.NewPool(nw)
 		defer pool.Close()
 		s := planTestSolver(t, m, DefaultConfig(m), 5)
-		s.Runner = MustNewPlanRunner(s, pool)
+		s.Runner = MustCompile(s, pool, PlanOptions{})
 		if a := testing.AllocsPerRun(10, func() { s.Step() }); a != 0 {
 			t.Errorf("nw=%d: plan step allocates %.1f objects, want 0", nw, a)
 		}
@@ -291,7 +291,7 @@ func TestPlanRace(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
 	s := planTestSolver(t, m, cfg, 9)
-	s.Runner = MustNewPlanRunner(s, pool)
+	s.Runner = MustCompile(s, pool, PlanOptions{})
 	s.PostSubstep = func(stage int, st *State) { _ = st.H[0] }
 	s.Run(10)
 	if s.StepCount != 10 {
@@ -310,7 +310,7 @@ func TestPlanRunnerKernelFallback(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
 	ps := planTestSolver(t, m, DefaultConfig(m), 13)
-	ps.Runner = MustNewPlanRunner(ps, pool)
+	ps.Runner = MustCompile(ps, pool, PlanOptions{})
 	ps.Init()
 
 	requireSame(t, "init h_edge", ps.Diag.HEdge, ref.Diag.HEdge)
@@ -339,7 +339,7 @@ func TestPlanTracersFallBack(t *testing.T) {
 	defer pool.Close()
 	ps := planTestSolver(t, m, DefaultConfig(m), 17)
 	mkTracer(ps)
-	ps.Runner = MustNewPlanRunner(ps, pool)
+	ps.Runner = MustCompile(ps, pool, PlanOptions{})
 
 	for i := 0; i < 3; i++ {
 		ref.Step()
@@ -352,29 +352,31 @@ func TestPlanTracersFallBack(t *testing.T) {
 
 // TestAlignedRanges checks the partition invariants the locality predicate
 // relies on: cover [0,n) exactly, monotone, and all interior boundaries on
-// 8-element (64-byte) alignment.
+// cache-line alignment for the element size (8 float64s, 16 float32s).
 func TestAlignedRanges(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 63, 642, 2562, 10242, 30720} {
-		for _, nw := range []int{1, 2, 3, 4, 7, 16} {
-			rs := alignedRanges(n, nw)
-			if len(rs) != nw {
-				t.Fatalf("n=%d nw=%d: %d ranges", n, nw, len(rs))
-			}
-			prev := int32(0)
-			for w, r := range rs {
-				if r[0] != prev {
-					t.Fatalf("n=%d nw=%d: worker %d starts at %d, want %d", n, nw, w, r[0], prev)
+	for _, align := range []int{8, 16} {
+		for _, n := range []int{0, 1, 7, 8, 63, 642, 2562, 10242, 30720} {
+			for _, nw := range []int{1, 2, 3, 4, 7, 16} {
+				rs := alignedRanges(n, nw, align)
+				if len(rs) != nw {
+					t.Fatalf("n=%d nw=%d: %d ranges", n, nw, len(rs))
 				}
-				if r[1] < r[0] {
-					t.Fatalf("n=%d nw=%d: worker %d has negative range", n, nw, w)
+				prev := int32(0)
+				for w, r := range rs {
+					if r[0] != prev {
+						t.Fatalf("n=%d nw=%d: worker %d starts at %d, want %d", n, nw, w, r[0], prev)
+					}
+					if r[1] < r[0] {
+						t.Fatalf("n=%d nw=%d: worker %d has negative range", n, nw, w)
+					}
+					if w < nw-1 && int(r[1])%align != 0 && int(r[1]) != n {
+						t.Fatalf("n=%d nw=%d: interior boundary %d not %d-aligned", n, nw, r[1], align)
+					}
+					prev = r[1]
 				}
-				if w < nw-1 && r[1]%8 != 0 && int(r[1]) != n {
-					t.Fatalf("n=%d nw=%d: interior boundary %d not 8-aligned", n, nw, r[1])
+				if int(prev) != n {
+					t.Fatalf("n=%d nw=%d: ranges cover %d", n, nw, prev)
 				}
-				prev = r[1]
-			}
-			if int(prev) != n {
-				t.Fatalf("n=%d nw=%d: ranges cover %d", n, nw, prev)
 			}
 		}
 	}

@@ -21,26 +21,24 @@ func (s *Solver) Init() {
 }
 
 // Step advances the model by one RK-4 time step (Algorithm 1). When a
-// PlanRunner compiled for this solver and this configuration is attached and
-// no tracers are registered, the step executes through its compiled schedule
-// — one parallel region for the whole step — instead of the kernel-by-kernel
-// loop below (tracer advection is not part of the compiled program, and a
-// Cfg mutated after compilation would invalidate the plan's specialization).
+// PlanRunner compiled for this solver and this configuration is attached,
+// the step executes through its compiled schedule — one parallel region (or
+// task graph) for the whole step — instead of the kernel-by-kernel loop
+// below. The plan does not apply, and the step falls back to the loop
+// (counted in sw_step_fallback_total), when
+//
+//   - Cfg was mutated after compilation (the plan specialized on it),
+//   - tracers are registered (their advection is not part of the program), or
+//   - a PostSubstep hook is installed on a plan without hook slots: an
+//     overlaid plan compiled them into Post/Wait exchange ops, and a float32
+//     plan's intermediate states live in arrays the hook cannot see.
 func (s *Solver) Step() {
-	// (An overlap-scheduled plan additionally requires no PostSubstep hook:
-	// its hook slots were compiled into Post/Wait exchange ops, so a hook
-	// would be silently skipped — fall back to the blocking kernel loop.)
-	if pr, ok := s.Runner.(*PlanRunner); ok && pr.s == s && pr.cfg == s.Cfg && len(s.Tracers) == 0 &&
-		(pr.ov == nil || s.PostSubstep == nil) {
-		pr.step()
-		return
-	}
-	// The float32 fast mode additionally requires no PostSubstep hook: its
-	// intermediate states live in float32 arrays the hook could not see.
-	if fr, ok := s.Runner.(*Fast32Runner); ok && fr.s == s && fr.cfg == s.Cfg &&
-		len(s.Tracers) == 0 && s.PostSubstep == nil {
-		fr.step()
-		return
+	if pr, ok := s.Runner.(*PlanRunner); ok {
+		if pr.s == s && pr.cfg == s.Cfg && len(s.Tracers) == 0 && (pr.hooks || s.PostSubstep == nil) {
+			pr.step()
+			return
+		}
+		s.fallbackCounter.Inc()
 	}
 	step := s.Trace.StartSpan("rk4_step")
 	s.Provis.CopyFrom(s.State)

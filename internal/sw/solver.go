@@ -97,6 +97,9 @@ type Solver struct {
 	// Metrics is nil; lookups on a nil map are free).
 	kernelTimers map[string]*telemetry.Timer
 	stepsCounter *telemetry.Counter
+	// fallbackCounter counts steps that had a PlanRunner attached but ran
+	// the kernel-by-kernel loop (see Step).
+	fallbackCounter *telemetry.Counter
 	// stageSpan is the live RK-stage (or init) span kernels nest under.
 	stageSpan *telemetry.Span
 
@@ -196,10 +199,12 @@ func (s *Solver) EnableTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) 
 	s.Metrics = reg
 	s.kernelTimers = nil
 	s.stepsCounter = nil
+	s.fallbackCounter = nil
 	if reg == nil {
 		return
 	}
 	s.stepsCounter = reg.Counter("sw_steps_total")
+	s.fallbackCounter = reg.Counter("sw_step_fallback_total")
 	s.kernelTimers = make(map[string]*telemetry.Timer, len(s.kernelOrder))
 	for _, k := range s.kernelOrder {
 		s.kernelTimers[k.Name] = reg.Timer("sw_kernel_" + k.Name + "_seconds")

@@ -418,7 +418,7 @@ func BenchmarkStepPlan(b *testing.B) {
 		defer pool.Close()
 		s, _ := sw.NewSolver(m, sw.DefaultConfig(m))
 		testcases.SetupTC5(s)
-		s.Runner = sw.MustNewPlanRunner(s, pool)
+		s.Runner = sw.MustCompile(s, pool, sw.PlanOptions{})
 		b.Run(map[int]string{3: "642cells", 4: "2562cells", 5: "10242cells"}[level], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()
@@ -434,7 +434,7 @@ func BenchmarkStepTaskPlan(b *testing.B) {
 		defer pool.Close()
 		s, _ := sw.NewSolver(m, sw.DefaultConfig(m))
 		testcases.SetupTC5(s)
-		s.Runner = sw.MustNewTaskPlanRunner(s, pool)
+		s.Runner = sw.MustCompile(s, pool, sw.PlanOptions{Tasks: true})
 		b.Run(map[int]string{3: "642cells", 4: "2562cells", 5: "10242cells"}[level], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()
@@ -453,7 +453,7 @@ func BenchmarkStepPlanWorkers(b *testing.B) {
 		defer pool.Close()
 		s, _ := sw.NewSolver(m, sw.DefaultConfig(m))
 		testcases.SetupTC5(s)
-		s.Runner = sw.MustNewPlanRunner(s, pool)
+		s.Runner = sw.MustCompile(s, pool, sw.PlanOptions{})
 		b.Run(fmt.Sprintf("w%d", nw), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()
@@ -469,7 +469,7 @@ func BenchmarkStepTaskPlanWorkers(b *testing.B) {
 		defer pool.Close()
 		s, _ := sw.NewSolver(m, sw.DefaultConfig(m))
 		testcases.SetupTC5(s)
-		s.Runner = sw.MustNewTaskPlanRunner(s, pool)
+		s.Runner = sw.MustCompile(s, pool, sw.PlanOptions{Tasks: true})
 		b.Run(fmt.Sprintf("w%d", nw), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()
@@ -485,7 +485,7 @@ func BenchmarkStepFast32(b *testing.B) {
 		defer pool.Close()
 		s, _ := sw.NewSolver(m, sw.DefaultConfig(m))
 		testcases.SetupTC5(s)
-		s.Runner = sw.MustNewFast32Runner(s, pool)
+		s.Runner = sw.MustCompile(s, pool, sw.PlanOptions{Float32: true})
 		b.Run(map[int]string{3: "642cells", 4: "2562cells", 5: "10242cells"}[level], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()

@@ -114,46 +114,6 @@ func sameRanges(a, b [][2]int32) bool {
 	return true
 }
 
-// NewTaskPlanRunner compiles the step plan for s and lowers it to task-graph
-// execution: Step() runs the dependency-counted task graph instead of the
-// level-barrier region. Everything else (RunKernel, Init, tracers) behaves
-// exactly as NewPlanRunner's.
-func NewTaskPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
-	r, err := NewPlanRunner(s, pool)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.taskify(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// MustNewTaskPlanRunner is NewTaskPlanRunner panicking on error.
-func MustNewTaskPlanRunner(s *Solver, pool *par.Pool) *PlanRunner {
-	r, err := NewTaskPlanRunner(s, pool)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// NewOverlapTaskPlanRunner compiles the overlaid step plan (comm/compute
-// overlap, see overlap.go) and lowers it to task-graph execution. On top of
-// the overlay's interior/boundary split, task mode removes the remaining
-// frontier: a stage's halo Wait gates only its boundary tasks, so interior
-// tiles of later ops keep flowing while the exchange is in flight.
-func NewOverlapTaskPlanRunner(s *Solver, pool *par.Pool, ov *Overlap) (*PlanRunner, error) {
-	r, err := NewOverlapPlanRunner(s, pool, ov)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.taskify(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // taskify lowers r's compiled step plan into a frozen task graph and
 // verifies it against an independently built dependency graph. Kernel plans
 // keep their (rarely hot) barrier schedules.

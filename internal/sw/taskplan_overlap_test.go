@@ -18,7 +18,7 @@ func TestOverlapTaskPlanSplitExtremesBitwiseNeutral(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, width := range []int{0, 1 << 20} {
 			ref := newTC2Solver(t, 3)
-			ref.Runner = sw.MustNewPlanRunner(ref, nil)
+			ref.Runner = sw.MustCompile(ref, nil, sw.PlanOptions{})
 			ref.Run(3)
 
 			s := newTC2Solver(t, 3)
@@ -26,8 +26,7 @@ func TestOverlapTaskPlanSplitExtremesBitwiseNeutral(t *testing.T) {
 			defer pool.Close()
 			m := s.M
 			var posts, waits int
-			r, err := sw.NewOverlapTaskPlanRunner(s, pool,
-				noopOverlap(m.NCells, m.NEdges, m.NVertices, width, &posts, &waits))
+			r, err := sw.Compile(s, pool, sw.PlanOptions{Tasks: true, Overlap: noopOverlap(m.NCells, m.NEdges, m.NVertices, width, &posts, &waits)})
 			if err != nil {
 				t.Fatalf("workers=%d width=%d: %v", workers, width, err)
 			}
@@ -74,7 +73,7 @@ func TestOverlapTaskPlanRealDepthSplitBitwiseNeutral(t *testing.T) {
 		return s
 	}
 	ref := newLocal()
-	ref.Runner = sw.MustNewPlanRunner(ref, nil)
+	ref.Runner = sw.MustCompile(ref, nil, sw.PlanOptions{})
 	ref.Run(3)
 
 	for _, workers := range []int{1, 2, 4} {
@@ -89,7 +88,7 @@ func TestOverlapTaskPlanRealDepthSplitBitwiseNeutral(t *testing.T) {
 			InteriorEdges:    l.InteriorEdges,
 			InteriorVertices: l.InteriorVertices,
 		}
-		r, err := sw.NewOverlapTaskPlanRunner(s, pool, ov)
+		r, err := sw.Compile(s, pool, sw.PlanOptions{Tasks: true, Overlap: ov})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +123,7 @@ func TestOverlapTaskPlanFallsBackUnderHook(t *testing.T) {
 	s := newTC2Solver(t, 2)
 	m := s.M
 	var posts, waits int
-	r, err := sw.NewOverlapTaskPlanRunner(s, nil, noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits))
+	r, err := sw.Compile(s, nil, sw.PlanOptions{Tasks: true, Overlap: noopOverlap(m.NCells, m.NEdges, m.NVertices, 5, &posts, &waits)})
 	if err != nil {
 		t.Fatal(err)
 	}

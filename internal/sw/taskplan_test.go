@@ -27,7 +27,7 @@ func TestTaskPlanBitwise(t *testing.T) {
 				pool := par.NewPool(nw)
 				defer pool.Close()
 				ts := planTestSolver(t, m, cfg, 11)
-				ts.Runner = MustNewTaskPlanRunner(ts, pool)
+				ts.Runner = MustCompile(ts, pool, PlanOptions{Tasks: true})
 				var taskHooks []string
 				ts.PostSubstep = func(stage int, st *State) {
 					taskHooks = append(taskHooks, fmt.Sprintf("%d:%x:%x", stage, st.H[1], st.U[1]))
@@ -67,12 +67,12 @@ func TestTaskPlanMatchesPlanBitwise(t *testing.T) {
 			pool := par.NewPool(nw)
 			defer pool.Close()
 			ps := planTestSolver(t, m, cfg, 23)
-			ps.Runner = MustNewPlanRunner(ps, pool)
+			ps.Runner = MustCompile(ps, pool, PlanOptions{})
 
 			tpool := par.NewPool(nw)
 			defer tpool.Close()
 			ts := planTestSolver(t, m, cfg, 23)
-			ts.Runner = MustNewTaskPlanRunner(ts, tpool)
+			ts.Runner = MustCompile(ts, tpool, PlanOptions{Tasks: true})
 
 			for i := 0; i < 8; i++ {
 				ps.Step()
@@ -94,7 +94,7 @@ func TestTaskPlanGraphShape(t *testing.T) {
 	for _, nw := range []int{1, 4} {
 		pool := par.NewPool(nw)
 		s := planTestSolver(t, m, cfg, 7)
-		r := MustNewTaskPlanRunner(s, pool)
+		r := MustCompile(s, pool, PlanOptions{Tasks: true})
 		if !r.TaskMode() {
 			t.Fatalf("nw=%d: runner not in task mode", nw)
 		}
@@ -137,7 +137,7 @@ func TestTaskPlanVerifierCatchesMissingEdges(t *testing.T) {
 	s := planTestSolver(t, m, planConfigs(m)["default"], 7)
 	pool := par.NewPool(2)
 	defer pool.Close()
-	r := MustNewTaskPlanRunner(s, pool)
+	r := MustCompile(s, pool, PlanOptions{Tasks: true})
 	_, nodes, err := r.buildTaskGraph(r.stepPlan)
 	if err != nil {
 		t.Fatal(err)
@@ -154,20 +154,23 @@ func TestTaskPlanVerifierCatchesMissingEdges(t *testing.T) {
 	}
 }
 
-// TestTaskPlanStepAllocFree: the steady-state claim — replaying the frozen
-// graph allocates nothing, at any worker count.
+// TestTaskPlanStepAllocFree: the steady-state claim — a compiled step,
+// replaying the frozen task graph or the barrier schedule at either
+// precision, allocates nothing, at any worker count.
 func TestTaskPlanStepAllocFree(t *testing.T) {
 	m := planTestMesh(t, 2)
 	cfg := planConfigs(m)["default"]
-	for _, nw := range []int{1, 4} {
-		pool := par.NewPool(nw)
-		s := planTestSolver(t, m, cfg, 3)
-		s.Runner = MustNewTaskPlanRunner(s, pool)
-		s.Step() // warm-up
-		if n := testing.AllocsPerRun(5, s.Step); n != 0 {
-			t.Errorf("nw=%d: task-plan step allocates %v times, want 0", nw, n)
+	for _, opts := range []PlanOptions{{}, {Tasks: true}, {Float32: true}, {Float32: true, Tasks: true}} {
+		for _, nw := range []int{1, 4} {
+			pool := par.NewPool(nw)
+			s := planTestSolver(t, m, cfg, 3)
+			s.Runner = MustCompile(s, pool, opts)
+			s.Step() // warm-up
+			if n := testing.AllocsPerRun(5, s.Step); n != 0 {
+				t.Errorf("%+v nw=%d: compiled step allocates %v times, want 0", opts, nw, n)
+			}
+			pool.Close()
 		}
-		pool.Close()
 	}
 }
 
@@ -180,7 +183,7 @@ func TestTaskPlanRace(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
 	s := planTestSolver(t, m, cfg, 5)
-	s.Runner = MustNewTaskPlanRunner(s, pool)
+	s.Runner = MustCompile(s, pool, PlanOptions{Tasks: true})
 	hooks := 0
 	s.PostSubstep = func(stage int, st *State) { hooks++ }
 	s.Run(10)
@@ -199,7 +202,7 @@ func TestTaskPlanRunnerSharesPlanPaths(t *testing.T) {
 	m := planTestMesh(t, 2)
 	s := planTestSolver(t, m, planConfigs(m)["default"], 9)
 	before := PlanCompileCount()
-	r := MustNewTaskPlanRunner(s, nil)
+	r := MustCompile(s, nil, PlanOptions{Tasks: true})
 	if PlanCompileCount() != before+1 {
 		t.Errorf("task-plan compile performed %d plan compilations, want 1", PlanCompileCount()-before)
 	}

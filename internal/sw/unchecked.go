@@ -4,18 +4,18 @@ package sw
 
 import "unsafe"
 
-// Unchecked array views for the compiled hot kernels (plan_kernels.go,
-// fast32_kernels.go). The Go compiler cannot eliminate bounds checks on
-// data-dependent gather subscripts (u[EdgesOnCell[j]] and friends), so the
-// compiled kernels read and write through these raw-pointer views instead.
+// Unchecked array views for the compiled hot kernels (csr_kernels.go). The Go
+// compiler cannot eliminate bounds checks on data-dependent gather subscripts
+// (u[EdgesOnCell[j]] and friends), so the compiled kernels read and write
+// through these raw-pointer views instead.
 //
 // Soundness is established OUTSIDE the hot loops, once, by construction:
 //
 //   - every gather index comes from the mesh's CSR image, and
 //     mesh.PackCSR validates every column against its entity count;
-//   - every target array is allocated to its entity count by the solver and
-//     its length is re-asserted against the mesh at plan compile time
-//     (PlanRunner.checkShapes / Fast32Runner construction);
+//   - every target array is either a solver/mesh array whose length is
+//     asserted against the mesh at plan compile time (checkSolverShapes) or
+//     a copy of one made by newKernelSet at the same length;
 //   - loop bounds are the per-worker static ranges, partitions of [0, n).
 //
 // Under the race detector this file is replaced by unchecked_race.go, whose
@@ -23,28 +23,19 @@ import "unsafe"
 // race-instrumented — so `go test -race` still watches the compiled
 // schedules for real data races.
 
-type f64v struct{ p *float64 }
+// fv is the unchecked view of a []T. Each precision gets its own shape
+// instantiation, so the element size folds to a constant and at/set inline to
+// single load/store instructions.
+type fv[T float] struct{ p *T }
 
-func vf64(s []float64) f64v { return f64v{unsafe.SliceData(s)} }
+func view[T float](s []T) fv[T] { return fv[T]{unsafe.SliceData(s)} }
 
-func (v f64v) at(i int) float64 {
-	return *(*float64)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*8))
+func (v fv[T]) at(i int) T {
+	return *(*T)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*unsafe.Sizeof(*v.p)))
 }
 
-func (v f64v) set(i int, x float64) {
-	*(*float64)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*8)) = x
-}
-
-type f32v struct{ p *float32 }
-
-func vf32(s []float32) f32v { return f32v{unsafe.SliceData(s)} }
-
-func (v f32v) at(i int) float32 {
-	return *(*float32)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*4))
-}
-
-func (v f32v) set(i int, x float32) {
-	*(*float32)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*4)) = x
+func (v fv[T]) set(i int, x T) {
+	*(*T)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*unsafe.Sizeof(*v.p))) = x
 }
 
 type i32v struct{ p *int32 }

@@ -8,19 +8,12 @@ package sw
 // bounds-check-elimination gate (bce_test.go) builds without -race and so
 // always measures the unchecked variant.
 
-type f64v struct{ s []float64 }
+type fv[T float] struct{ s []T }
 
-func vf64(s []float64) f64v { return f64v{s} }
+func view[T float](s []T) fv[T] { return fv[T]{s} }
 
-func (v f64v) at(i int) float64     { return v.s[i] }
-func (v f64v) set(i int, x float64) { v.s[i] = x }
-
-type f32v struct{ s []float32 }
-
-func vf32(s []float32) f32v { return f32v{s} }
-
-func (v f32v) at(i int) float32     { return v.s[i] }
-func (v f32v) set(i int, x float32) { v.s[i] = x }
+func (v fv[T]) at(i int) T     { return v.s[i] }
+func (v fv[T]) set(i int, x T) { v.s[i] = x }
 
 type i32v struct{ s []int32 }
 

@@ -129,13 +129,15 @@ type Options struct {
 	Dt float64
 	// Precision selects the step arithmetic: "" or "float64" for the
 	// reference double-precision path, "float32" for the fast mode — the
-	// whole RK-4 step computed in single precision over CSR-packed SoA
-	// arrays (sw.Fast32Runner), streaming half the bytes per step. The
-	// float64 State remains the source of truth (loaded/stored around each
-	// step), so checkpointing and diagnostics keep working; trajectories
-	// track the float64 run within the relative band documented in
-	// internal/conform (Strategy.RelBand). Host-only modes (Serial,
-	// Threaded, Plan) only.
+	// compiled plan at single precision (sw.PlanOptions.Float32): the same
+	// step program over a private float32 working set, streaming half the
+	// bytes per step. The float64 State remains the source of truth
+	// (loaded/stored around each step), so checkpointing and diagnostics
+	// keep working; trajectories track the float64 run within the relative
+	// band documented in internal/conform (Strategy.RelBand). Host-only
+	// modes only: Plan and TaskPlan choose barrier or task execution as for
+	// float64; Serial and Threaded run the barrier plan on one worker or on
+	// Workers.
 	Precision string
 	// Mesh reuses an existing mesh instead of building one (Level and
 	// LloydIterations are then ignored).
@@ -179,7 +181,8 @@ func New(opts Options) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("mpas: unknown precision %q (want float64 or float32)", opts.Precision)
 	}
-	if opts.Precision == "float32" {
+	float32Step := opts.Precision == "float32"
+	if float32Step {
 		switch opts.Mode {
 		case Serial, Threaded, Plan, TaskPlan:
 		default:
@@ -239,9 +242,7 @@ func New(opts Options) (*Model, error) {
 		mod.exec = hybrid.NewHybridSolver(s, hybrid.PatternDrivenSchedule(frac),
 			opts.Workers, opts.DeviceWorkers)
 	case Plan, TaskPlan:
-		// The runner is compiled after the test-case setup below: the plan
-		// specializes on the configuration, and e.g. TC1 flips AdvectionOnly
-		// during setup.
+		// The runner is compiled after the test-case setup below.
 		mod.pool = par.NewPool(opts.Workers)
 	default:
 		return nil, fmt.Errorf("mpas: unknown mode %v", opts.Mode)
@@ -261,10 +262,11 @@ func New(opts Options) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("mpas: unknown test case %d", opts.TestCase)
 	}
-	if opts.Precision == "float32" {
-		// The fast-mode runner, like the plan, specializes on the post-setup
-		// configuration. It replaces whatever host runner the mode installed;
-		// Init and other non-step paths still run float64 through its pool.
+	if float32Step || opts.Mode == Plan || opts.Mode == TaskPlan {
+		// Compiled here, after the test-case setup: the plan specializes on
+		// the configuration, and e.g. TC1 flips AdvectionOnly during setup.
+		// float32 is the plan at single precision whatever host mode was
+		// asked for; Serial and Threaded only choose its worker count.
 		if mod.pool == nil {
 			w := opts.Workers
 			if opts.Mode == Serial {
@@ -272,18 +274,7 @@ func New(opts Options) (*Model, error) {
 			}
 			mod.pool = par.NewPool(w)
 		}
-		r, err := sw.NewFast32Runner(s, mod.pool)
-		if err != nil {
-			mod.pool.Close()
-			return nil, fmt.Errorf("mpas: %w", err)
-		}
-		s.Runner = r
-	} else if opts.Mode == Plan || opts.Mode == TaskPlan {
-		newRunner := sw.NewPlanRunner
-		if opts.Mode == TaskPlan {
-			newRunner = sw.NewTaskPlanRunner
-		}
-		r, err := newRunner(s, mod.pool)
+		r, err := sw.Compile(s, mod.pool, sw.PlanOptions{Float32: float32Step, Tasks: opts.Mode == TaskPlan})
 		if err != nil {
 			mod.pool.Close()
 			return nil, fmt.Errorf("mpas: %w", err)
@@ -291,7 +282,7 @@ func New(opts Options) (*Model, error) {
 		s.Runner = r
 	}
 	if opts.PlanHost && mod.exec != nil {
-		r, err := sw.NewPlanRunner(s, mod.exec.HostPool)
+		r, err := sw.Compile(s, mod.exec.HostPool, sw.PlanOptions{})
 		if err != nil {
 			mod.exec.Close()
 			return nil, fmt.Errorf("mpas: plan host delegate: %w", err)

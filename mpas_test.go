@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/sw"
 )
 
 func newModel(t testing.TB, opts Options) *Model {
@@ -67,6 +68,40 @@ func TestModesProduceIdenticalTrajectories(t *testing.T) {
 // setup flips Cfg.AdvectionOnly, so the plan must be compiled after the test
 // case is applied (a plan specialized on the wrong configuration would either
 // refuse the compiled path or diverge).
+// TestFloat32HonoursMode: float32 is the compiled plan at single precision,
+// so every host mode steps through it, TaskPlan selects its task executor,
+// and all of them follow one bitwise trajectory.
+func TestFloat32HonoursMode(t *testing.T) {
+	msh, err := mesh.Build(3, mesh.Options{LloydIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []float64
+	for _, mode := range []Mode{Serial, Threaded, Plan, TaskPlan} {
+		m := newModel(t, Options{Mesh: msh, TestCase: TC5, Mode: mode, Workers: 2, Precision: "float32"})
+		r, ok := m.Solver.Runner.(*sw.PlanRunner)
+		if !ok {
+			t.Fatalf("mode %v float32: runner is %T, want the compiled plan", mode, m.Solver.Runner)
+		}
+		if r.TaskMode() != (mode == TaskPlan) {
+			t.Errorf("mode %v float32: TaskMode() = %v", mode, r.TaskMode())
+		}
+		m.Run(4)
+		if ref == nil {
+			ref = append([]float64(nil), m.Solver.State.H...)
+			continue
+		}
+		for c := range ref {
+			if m.Solver.State.H[c] != ref[c] {
+				t.Fatalf("float32 under mode %v diverges from float32 serial at cell %d", mode, c)
+			}
+		}
+	}
+	if _, err := New(Options{Mesh: msh, Mode: PatternDriven, Precision: "float32"}); err == nil {
+		t.Error("float32 accepted under a hybrid mode")
+	}
+}
+
 func TestPlanModeAdvectionOnly(t *testing.T) {
 	msh, err := mesh.Build(2, mesh.Options{LloydIterations: 1})
 	if err != nil {

@@ -11,14 +11,21 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== benchmark module (bench/: vet + short tests) =="
+# bench/ is a nested module the root ./... patterns do not see; a rename in
+# internal/sw that breaks it would otherwise surface only in the benchmark
+# driver.
+(cd bench && go vet ./... && go test -short ./...)
+
 echo "== bounds-check asm gate (hot kernels) =="
-# The compiled-plan and fast32 kernels must stay bounds-check-free: the test
-# recompiles internal/sw with -d=ssa/check_bce and greps the diagnostics.
+# The compiled kernel closures (internal/sw/csr_kernels.go, both precisions)
+# must stay bounds-check-free: the test recompiles internal/sw with
+# -d=ssa/check_bce and greps the diagnostics.
 # Run it on its own, without -race, because the unchecked views deliberately
 # fall back to checked slices under the race detector.
 go test -count=1 -run 'TestHotKernelsBoundsCheckFree' ./internal/sw
 
-echo "== zero-alloc gate (level-7 plan + fast32 step) =="
+echo "== zero-alloc gate (level-7 step: plan, taskplan, fast32, fast32+tasks) =="
 # Also race-excluded: under -race the kernels run on checked slices and the
 # level-7 build would blow the package test timeout in the coverage run.
 go test -count=1 -run 'TestPlanStepZeroAllocBigMesh' .
