@@ -28,12 +28,12 @@ func main() {
 	tc := flag.Int("tc", 5, "test case: 1 (advection), 2, 5, 6 (Williamson), 8 (Galewsky jet)")
 	days := flag.Float64("days", 1, "total simulated days (from t=0, so a resumed run covers the remainder)")
 	stepsFlag := flag.Int("steps", 0, "total RK-4 steps (overrides -days when positive)")
-	mode := flag.String("mode", "pattern", "execution design: serial|threaded|kernel|pattern|plan|taskplan")
+	mode := flag.String("mode", mpas.PatternDriven.String(), fmt.Sprint("execution design, one of ", mpas.Modes()))
 	workers := flag.Int("workers", 0, "host worker count (0 = GOMAXPROCS)")
 	devWorkers := flag.Int("dev-workers", 0, "device worker count (0 = GOMAXPROCS)")
 	report := flag.Int("report", 100, "report invariants every N steps")
 	highOrder := flag.Bool("high-order", false, "enable C1+D2 high-order thickness interpolation")
-	precision := flag.String("precision", "float64", "step arithmetic: float64 (reference) or float32 (fast mode; serial/threaded/plan/taskplan only)")
+	precision := flag.String("precision", "float64", "step arithmetic: float64 (reference) or float32 (fast mode; host-only modes)")
 	reorder := flag.Bool("reorder", false, "locality renumbering: run on the SFC-reordered mesh (checkpoints stay canonical)")
 	info := flag.Bool("info", false, "print platform and pattern info and exit")
 	profile := flag.Bool("profile", false, "profile real per-pattern wall time and print the report")
@@ -52,14 +52,9 @@ func main() {
 		return
 	}
 
-	modes := map[string]mpas.Mode{
-		"serial": mpas.Serial, "threaded": mpas.Threaded,
-		"kernel": mpas.KernelLevel, "pattern": mpas.PatternDriven,
-		"plan": mpas.Plan, "taskplan": mpas.TaskPlan,
-	}
-	md, ok := modes[*mode]
-	if !ok {
-		log.Fatalf("unknown mode %q", *mode)
+	md, err := mpas.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	model, err := mpas.New(mpas.Options{

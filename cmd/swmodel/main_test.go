@@ -83,3 +83,27 @@ func TestCheckpointCadence(t *testing.T) {
 		t.Fatalf("checkpoint file missing or empty: %v", err)
 	}
 }
+
+// TestModeFlag: -mode takes the registry's wire names, prints the same name
+// back, and an unknown name fails naming every valid mode.
+func TestModeFlag(t *testing.T) {
+	bin := buildSwmodel(t)
+	out := runSwmodel(t, bin, "-level", "1", "-steps", "1", "-mode", "pattern")
+	if !strings.Contains(out, "mode=pattern ") {
+		t.Errorf("-mode pattern output lacks mode=pattern:\n%s", out)
+	}
+
+	bad, err := exec.Command(bin, "-level", "1", "-steps", "1", "-mode", "gpu").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-mode gpu exited 0:\n%s", bad)
+	}
+	words := map[string]bool{}
+	for _, w := range strings.FieldsFunc(string(bad), func(r rune) bool { return r < 'a' || r > 'z' }) {
+		words[w] = true
+	}
+	for _, name := range []string{"serial", "threaded", "kernel", "pattern", "plan", "taskplan"} {
+		if !words[name] {
+			t.Errorf("-mode gpu error does not name %q:\n%s", name, bad)
+		}
+	}
+}

@@ -326,10 +326,10 @@ func CheckLinear(levels []Level, slack float64) error {
 		name string
 		get  func(Level) float64
 	}{
-		{"serial", func(l Level) float64 { return l.SerialStep }},
-		{"plan", func(l Level) float64 { return l.PlanStep }},
+		{mpas.Serial.String(), func(l Level) float64 { return l.SerialStep }},
+		{mpas.Plan.String(), func(l Level) float64 { return l.PlanStep }},
 		{"fast32", func(l Level) float64 { return l.Fast32Step }},
-		{"taskplan", func(l Level) float64 { return l.TaskStep }},
+		{mpas.TaskPlan.String(), func(l Level) float64 { return l.TaskStep }},
 		{"plan+reorder", func(l Level) float64 { return l.PlanStepReorder }},
 		{"fast32+reorder", func(l Level) float64 { return l.Fast32StepReorder }},
 	}

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	mpas "repro"
 	"repro/internal/sw"
 )
 
@@ -120,10 +121,9 @@ type JobSpec struct {
 	PerturbEps float64 `json:"perturb_eps,omitempty"`
 	// Precision selects the step arithmetic: "" or "float64" for the
 	// reference path, "float32" for the fast mode — the compiled plan at
-	// single precision, so "plan" and "taskplan" pick its executor and
-	// "serial"/"threaded" its worker count (host-only modes; see
-	// mpas.Options.Precision). Checkpoints stay float64, so a suspended job
-	// may be resumed under a different precision.
+	// single precision, valid under the modes mpas.CheckPrecision accepts
+	// (see mpas.Options.Precision). Checkpoints stay float64, so a suspended
+	// job may be resumed under a different precision.
 	Precision string `json:"precision,omitempty"`
 	// Reorder runs the job on the SFC locality-renumbered mesh
 	// (mpas.Options.Reorder). Checkpoints stay in canonical numbering, so
@@ -140,19 +140,6 @@ const MaxEnsemble = 16
 // in seconds; beyond that a submission could occupy a worker for minutes in
 // mesh construction alone before its first checkpoint.
 const MaxLevel = 6
-
-// validModes are the execution designs a job may request (or be resumed
-// under), matching cmd/swmodel -mode.
-var validModes = map[string]bool{
-	"serial": true, "threaded": true, "kernel": true, "pattern": true, "plan": true,
-	"taskplan": true,
-}
-
-// float32Modes are the host-only modes the float32 fast path can execute
-// under (mpas.Options.Precision).
-var float32Modes = map[string]bool{
-	"serial": true, "threaded": true, "plan": true, "taskplan": true,
-}
 
 // Normalize validates sp and fills defaults, returning the first problem.
 func (sp *JobSpec) Normalize() error {
@@ -171,10 +158,7 @@ func (sp *JobSpec) Normalize() error {
 		return fmt.Errorf("serve: level %d out of range [1,%d]", sp.Level, MaxLevel)
 	}
 	if sp.Mode == "" {
-		sp.Mode = "serial"
-	}
-	if !validModes[sp.Mode] {
-		return fmt.Errorf("serve: unknown mode %q (want serial|threaded|kernel|pattern|plan|taskplan)", sp.Mode)
+		sp.Mode = mpas.Serial.String()
 	}
 	if sp.Steps < 0 || sp.Days < 0 {
 		return fmt.Errorf("serve: steps and days must be non-negative")
@@ -212,17 +196,20 @@ func (sp *JobSpec) Normalize() error {
 	if sp.PerturbEps < 0 || sp.PerturbEps > 1e-3 {
 		return fmt.Errorf("serve: perturb_eps %g out of range (0, 1e-3]", sp.PerturbEps)
 	}
-	switch sp.Precision {
-	case "":
+	if sp.Precision == "" {
 		sp.Precision = "float64"
-	case "float64", "float32":
-	default:
-		return fmt.Errorf("serve: unknown precision %q (want float64 or float32)", sp.Precision)
 	}
-	if sp.Precision == "float32" && !float32Modes[sp.Mode] {
-		return fmt.Errorf("serve: precision float32 requires mode serial, threaded, plan or taskplan, not %q", sp.Mode)
+	return checkMode(sp.Mode, sp.Precision)
+}
+
+// checkMode validates a mode name and that it can run at precision, both
+// against the mpas mode registry.
+func checkMode(mode, precision string) error {
+	m, err := mpas.ParseMode(mode)
+	if err != nil {
+		return err
 	}
-	return nil
+	return mpas.CheckPrecision(m, precision)
 }
 
 // Diag is the flattened invariant set carried by "diag" events and the

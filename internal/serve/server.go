@@ -288,11 +288,8 @@ func (s *Server) Import(st JobStatus, ckpt io.Reader) (JobStatus, error) {
 	if mode == "" {
 		mode = spec.Mode
 	}
-	if !validModes[mode] {
-		return JobStatus{}, fmt.Errorf("serve: unknown mode %q", mode)
-	}
-	if spec.Precision == "float32" && !float32Modes[mode] {
-		return JobStatus{}, fmt.Errorf("serve: precision float32 cannot run under mode %q", mode)
+	if err := checkMode(mode, spec.Precision); err != nil {
+		return JobStatus{}, err
 	}
 
 	job := newJob(st.ID, spec)
@@ -479,12 +476,9 @@ func (s *Server) Resume(id, mode string) error {
 	if err != nil {
 		return err
 	}
-	if mode != "" && !validModes[mode] {
-		return fmt.Errorf("serve: unknown mode %q (want serial|threaded|kernel|pattern|plan)", mode)
-	}
-	if mode != "" && !float32Modes[mode] {
-		if sp := j.Status().Spec; sp.Precision == "float32" {
-			return fmt.Errorf("serve: precision float32 cannot resume under mode %q", mode)
+	if mode != "" {
+		if err := checkMode(mode, j.Status().Spec.Precision); err != nil {
+			return err
 		}
 	}
 	j.mu.Lock()

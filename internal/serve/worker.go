@@ -30,24 +30,6 @@ func (s *Server) workerLoop(i int) {
 	}
 }
 
-// modeFor maps a JobSpec mode string onto the facade's execution design.
-func modeFor(mode string) mpas.Mode {
-	switch mode {
-	case "threaded":
-		return mpas.Threaded
-	case "kernel":
-		return mpas.KernelLevel
-	case "pattern":
-		return mpas.PatternDriven
-	case "plan":
-		return mpas.Plan
-	case "taskplan":
-		return mpas.TaskPlan
-	default:
-		return mpas.Serial
-	}
-}
-
 // claimRun atomically moves a queued job to running, installing the cancel
 // function. Jobs canceled or suspended while queued fail the claim and are
 // simply skipped (their state is already persisted and published).
@@ -104,7 +86,11 @@ func (s *Server) runJob(job *Job) {
 	start := time.Now()
 
 	// Build the model under the job's currently effective mode.
-	mode := st.Mode
+	mode, err := mpas.ParseMode(st.Mode)
+	if err != nil {
+		s.finishFailed(job, err)
+		return
+	}
 	buildCtx := s.tBuild.Start()
 	m, err := s.meshForLevel(spec.Level)
 	if err != nil {
@@ -116,7 +102,7 @@ func (s *Server) runJob(job *Job) {
 		Mesh:               m,
 		Level:              spec.Level,
 		TestCase:           mpas.TestCase(spec.TestCase),
-		Mode:               modeFor(mode),
+		Mode:               mode,
 		Workers:            spec.Workers,
 		DeviceWorkers:      spec.Workers,
 		AdjustableFraction: -1,
@@ -146,7 +132,7 @@ func (s *Server) runJob(job *Job) {
 	// solver (shared mesh + compiled plan); their checkpoint format and
 	// round-robin step loop live in ensemble_run.go.
 	if spec.Ensemble > 1 {
-		s.runEnsemble(ctx, job, solver, spec, mode, st.Resumes, total, ckptEvery, stepDelay, start)
+		s.runEnsemble(ctx, job, solver, spec, st.Mode, st.Resumes, total, ckptEvery, stepDelay, start)
 		return
 	}
 
@@ -212,7 +198,7 @@ func (s *Server) runJob(job *Job) {
 			Steps:       solver.StepCount,
 			SimTime:     solver.Time,
 			WallSeconds: time.Since(start).Seconds(),
-			Mode:        mode,
+			Mode:        st.Mode,
 			Resumes:     st.Resumes,
 			Final:       diagOf(solver.ComputeInvariants()),
 		}
@@ -220,11 +206,13 @@ func (s *Server) runJob(job *Job) {
 			s.finishFailed(job, fmt.Errorf("writing result: %w", err))
 			return
 		}
+		// Counted before the state flips, so a client that sees the job
+		// completed also sees it in serve_jobs_completed_total.
+		s.mCompleted.Inc()
 		done := s.updateJob(job, func(j *Job) {
 			j.state = StateCompleted
 			j.cancel = nil
 		})
-		s.mCompleted.Inc()
 		job.broker.publish(Event{Type: "done", JobID: job.ID, State: StateCompleted,
 			Step: done.StepsDone, TotalSteps: total, SimTime: done.SimTime, Diag: res.Final})
 		s.cfg.Logf("serve: %s completed (%d steps, %.2fs wall)", job.ID, res.Steps, res.WallSeconds)

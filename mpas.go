@@ -79,22 +79,58 @@ const (
 	TaskPlan
 )
 
+// modeTable is the execution-mode registry, indexed by Mode: each mode's
+// wire name (the -mode flag, serve's JSON and spooled status files) and
+// whether the float32 fast path can run under it.
+var modeTable = [...]struct {
+	name    string
+	float32 bool
+}{
+	Serial:        {"serial", true},
+	Threaded:      {"threaded", true},
+	KernelLevel:   {"kernel", false},
+	PatternDriven: {"pattern", false},
+	Plan:          {"plan", true},
+	TaskPlan:      {"taskplan", true},
+}
+
+// String returns the mode's wire name.
 func (m Mode) String() string {
-	switch m {
-	case Serial:
-		return "serial"
-	case Threaded:
-		return "threaded"
-	case KernelLevel:
-		return "kernel-level"
-	case PatternDriven:
-		return "pattern-driven"
-	case Plan:
-		return "plan"
-	case TaskPlan:
-		return "taskplan"
+	if m < 0 || int(m) >= len(modeTable) {
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-	return fmt.Sprintf("Mode(%d)", int(m))
+	return modeTable[m].name
+}
+
+// Modes returns every execution mode in registry order.
+func Modes() []Mode {
+	ms := make([]Mode, len(modeTable))
+	for i := range ms {
+		ms[i] = Mode(i)
+	}
+	return ms
+}
+
+// ParseMode maps a wire name onto its Mode.
+func ParseMode(name string) (Mode, error) {
+	for i, row := range modeTable {
+		if row.name == name {
+			return Mode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("mpas: unknown mode %q (want one of %v)", name, Modes())
+}
+
+// CheckPrecision reports whether mode m can step at precision: "" or
+// "float64" under every mode, "float32" under the host-only ones.
+func CheckPrecision(m Mode, precision string) error {
+	switch {
+	case precision == "float32" && (m < 0 || int(m) >= len(modeTable) || !modeTable[m].float32):
+		return fmt.Errorf("mpas: precision float32 requires a host-only mode, not %v", m)
+	case precision != "" && precision != "float64" && precision != "float32":
+		return fmt.Errorf("mpas: unknown precision %q (want float64 or float32)", precision)
+	}
+	return nil
 }
 
 // Options configures a Model.
@@ -134,10 +170,10 @@ type Options struct {
 	// bytes per step. The float64 State remains the source of truth
 	// (loaded/stored around each step), so checkpointing and diagnostics
 	// keep working; trajectories track the float64 run within the relative
-	// band documented in internal/conform (Strategy.RelBand). Host-only
-	// modes only: Plan and TaskPlan choose barrier or task execution as for
-	// float64; Serial and Threaded run the barrier plan on one worker or on
-	// Workers.
+	// band documented in internal/conform (Strategy.RelBand). Valid only
+	// under the registry's float32-capable modes (CheckPrecision): Plan and
+	// TaskPlan choose barrier or task execution as for float64; Serial and
+	// Threaded run the barrier plan on one worker or on Workers.
 	Precision string
 	// Mesh reuses an existing mesh instead of building one (Level and
 	// LloydIterations are then ignored).
@@ -176,19 +212,10 @@ func New(opts Options) (*Model, error) {
 	if opts.TestCase == 0 {
 		opts.TestCase = TC5
 	}
-	switch opts.Precision {
-	case "", "float64", "float32":
-	default:
-		return nil, fmt.Errorf("mpas: unknown precision %q (want float64 or float32)", opts.Precision)
+	if err := CheckPrecision(opts.Mode, opts.Precision); err != nil {
+		return nil, err
 	}
 	float32Step := opts.Precision == "float32"
-	if float32Step {
-		switch opts.Mode {
-		case Serial, Threaded, Plan, TaskPlan:
-		default:
-			return nil, fmt.Errorf("mpas: precision float32 requires a host-only mode (serial, threaded, plan, taskplan), not %v", opts.Mode)
-		}
-	}
 	m := opts.Mesh
 	if m == nil {
 		lloyd := opts.LloydIterations

@@ -158,16 +158,49 @@ func TestHeightErrorAndTotalHeight(t *testing.T) {
 	}
 }
 
+// TestModeStrings: every registered mode's display name is the wire name
+// ParseMode accepts, and nothing else parses.
 func TestModeStrings(t *testing.T) {
-	for m, want := range map[Mode]string{Serial: "serial", Threaded: "threaded",
-		KernelLevel: "kernel-level", PatternDriven: "pattern-driven",
-		Plan: "plan", TaskPlan: "taskplan"} {
-		if m.String() != want {
-			t.Errorf("%d -> %s", m, m.String())
+	if len(Modes()) != 6 {
+		t.Fatalf("%d modes registered, want 6", len(Modes()))
+	}
+	for _, m := range Modes() {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %d", m.String(), got, err, int(m))
+		}
+	}
+	for _, name := range []string{"", "kernel-level", "gpu"} {
+		if _, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) accepted", name)
 		}
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode string empty")
+	}
+}
+
+// TestCheckPrecision: float64 runs under every mode, float32 exactly under
+// the host-only ones, and New applies the same check.
+func TestCheckPrecision(t *testing.T) {
+	hostOnly := map[Mode]bool{Serial: true, Threaded: true, Plan: true, TaskPlan: true}
+	for _, m := range Modes() {
+		for _, p := range []string{"", "float64"} {
+			if err := CheckPrecision(m, p); err != nil {
+				t.Errorf("%v/%q rejected: %v", m, p, err)
+			}
+		}
+		if err := CheckPrecision(m, "float32"); (err == nil) != hostOnly[m] {
+			t.Errorf("%v/float32: err=%v, host-only=%v", m, err, hostOnly[m])
+		}
+		if err := CheckPrecision(m, "float16"); err == nil {
+			t.Errorf("%v/float16 accepted", m)
+		}
+	}
+	if err := CheckPrecision(Mode(9), "float32"); err == nil {
+		t.Error("float32 accepted under an unregistered mode")
+	}
+	if _, err := New(Options{Level: 1, Precision: "float16"}); err == nil {
+		t.Error("New accepted precision float16")
 	}
 }
 

@@ -99,6 +99,16 @@ reorder_hash=$("$smokedir/swrank" -launch 2 -case tc5 -level 3 -steps 2 -hash -r
     || { echo "ci.sh: FAIL — reordered 2-process hash '$reorder_hash' != serial '$serial_hash'" >&2; exit 1; }
 echo "swrank -reorder smoke OK (renumbered hash $reorder_hash matches serial)"
 
+echo "== examples (every examples/* binary at its default arguments) =="
+# Nothing else runs the examples; each must build and exit 0.
+for ex in examples/*/; do
+    name=$(basename "$ex")
+    go build -o "$smokedir/example-$name" "./$ex"
+    "$smokedir/example-$name" > "$smokedir/example-$name.log" 2>&1 \
+        || { cat "$smokedir/example-$name.log" >&2; echo "ci.sh: FAIL — example $name exited non-zero" >&2; exit 1; }
+    echo "example $name OK"
+done
+
 echo "== big-mesh ladder smoke (level 7, 163842 cells, with reorder columns) =="
 # One Table-III rung end to end: serial, compiled-plan, and float32 fast
 # mode on a real 163842-cell mesh, plus the per-rung report plumbing and the
