@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -19,21 +18,20 @@ import (
 // work stealing migrate all K members together.
 
 // runEnsemble executes one claimed ensemble job to its next lifecycle
-// boundary. The caller (runJob) has claimed the job, built the model, and
-// published the running transition; total/ckptEvery/stepDelay are already
-// defaulted.
+// boundary. The caller (runJob) has claimed the job as st and built the
+// model; total/ckptEvery/stepDelay are already defaulted.
 func (s *Server) runEnsemble(ctx context.Context, job *Job, solver *sw.Solver,
-	spec JobSpec, mode string, resumes, total, ckptEvery int,
-	stepDelay time.Duration, start time.Time) {
+	st JobStatus, total, ckptEvery int, stepDelay time.Duration, start time.Time) {
 
+	spec := st.Spec
 	ens, err := sw.NewEnsemble(solver, spec.Ensemble)
 	if err != nil {
-		s.finishFailed(job, err)
+		s.finish(job, err, nil, nil)
 		return
 	}
 	if s.spool.hasCheckpoint(job.ID) {
 		if err := ens.LoadCheckpoint(s.spool.checkpointPath(job.ID)); err != nil {
-			s.finishFailed(job, fmt.Errorf("loading ensemble checkpoint: %w", err))
+			s.finish(job, fmt.Errorf("loading ensemble checkpoint: %w", err), nil, nil)
 			return
 		}
 	} else {
@@ -46,6 +44,9 @@ func (s *Server) runEnsemble(ctx context.Context, job *Job, solver *sw.Solver,
 		}
 	}
 	job.setProgress(ens.MinStep(), total, ens.MinTime())
+	save := func() error {
+		return s.checkpoint(job, ens, ens.MinStep(), total, ens.MinTime())
+	}
 
 	interrupt := s.interruptFor(ctx, job, stepDelay)
 	publishMemberDiag := func(i int, sv *sw.Solver) {
@@ -95,114 +96,35 @@ rounds:
 			}
 		}
 		if ckptEvery > 0 && target%ckptEvery == 0 && target < total {
-			if err := s.checkpointEnsemble(job, ens, total); err != nil {
-				s.finishFailed(job, fmt.Errorf("writing ensemble checkpoint: %w", err))
-				return
+			if err := save(); err != nil {
+				runErr = fmt.Errorf("writing ensemble checkpoint: %w", err)
+				break rounds
 			}
 		}
 	}
 	job.setProgress(ens.MinStep(), total, ens.MinTime())
 
-	switch {
-	case runErr == nil:
-		// Final checkpoint first, exactly like the single-run path: the
-		// durable state a client (or a stealing coordinator) downloads is
-		// the completed ensemble.
-		if err := s.checkpointEnsemble(job, ens, total); err != nil {
-			s.finishFailed(job, fmt.Errorf("writing final ensemble checkpoint: %w", err))
-			return
-		}
+	s.finish(job, runErr, save, func() (Result, error) {
 		finals := make([]*Diag, ens.K())
 		var simTime float64
-		for i := 0; i < ens.K(); i++ {
+		for i := range finals {
 			if err := ens.WithMember(i, func(sv *sw.Solver) error {
 				finals[i] = diagOf(sv.ComputeInvariants())
 				simTime = sv.Time
 				return nil
 			}); err != nil {
-				s.finishFailed(job, err)
-				return
+				return Result{}, err
 			}
 		}
-		res := Result{
+		return Result{
 			JobID:       job.ID,
 			Steps:       total,
 			SimTime:     simTime,
 			WallSeconds: time.Since(start).Seconds(),
-			Mode:        mode,
-			Resumes:     resumes,
+			Mode:        st.Mode,
+			Resumes:     st.Resumes,
 			Final:       finals[0],
 			Members:     finals,
-		}
-		if err := s.spool.writeResult(res); err != nil {
-			s.finishFailed(job, fmt.Errorf("writing result: %w", err))
-			return
-		}
-		done := s.updateJob(job, func(j *Job) {
-			j.state = StateCompleted
-			j.cancel = nil
-		})
-		s.mCompleted.Inc()
-		job.broker.publish(Event{Type: "done", JobID: job.ID, State: StateCompleted,
-			Step: done.StepsDone, TotalSteps: total, SimTime: done.SimTime, Diag: res.Final})
-		s.cfg.Logf("serve: %s completed (%d members x %d steps, %.2fs wall)",
-			job.ID, ens.K(), res.Steps, res.WallSeconds)
-
-	case errors.Is(runErr, errStopped):
-		// Crash-like stop: the last periodic ensemble checkpoint is the
-		// recovery point.
-		return
-
-	case errors.Is(runErr, errSuspended):
-		why := job.suspendRequested()
-		if err := s.checkpointEnsemble(job, ens, total); err != nil {
-			s.finishFailed(job, fmt.Errorf("suspending ensemble: %w", err))
-			return
-		}
-		susp := s.updateJob(job, func(j *Job) {
-			j.state = StateSuspended
-			j.suspendReason = why
-			j.cancel = nil
-		})
-		s.mSuspended.Inc()
-		job.broker.publish(Event{Type: "state", JobID: job.ID, State: StateSuspended,
-			Step: susp.StepsDone, TotalSteps: total, SimTime: susp.SimTime})
-		s.cfg.Logf("serve: %s suspended (%s) at ensemble step %d/%d", job.ID, why, susp.StepsDone, total)
-
-	case errors.Is(runErr, context.Canceled):
-		_ = s.checkpointEnsemble(job, ens, total)
-		done := s.updateJob(job, func(j *Job) {
-			j.state = StateCanceled
-			j.cancel = nil
-		})
-		s.mCanceled.Inc()
-		job.broker.publish(Event{Type: "done", JobID: job.ID, State: StateCanceled,
-			Step: done.StepsDone, TotalSteps: total, SimTime: done.SimTime})
-
-	case errors.Is(runErr, context.DeadlineExceeded):
-		_ = s.checkpointEnsemble(job, ens, total)
-		s.finishFailed(job, fmt.Errorf("job deadline exceeded after ensemble step %d/%d", ens.MinStep(), total))
-
-	default:
-		s.finishFailed(job, runErr)
-	}
-}
-
-// checkpointEnsemble writes the durable (ckpt.bin, status.json) pair for
-// the whole ensemble and publishes a checkpoint event.
-func (s *Server) checkpointEnsemble(job *Job, ens *sw.Ensemble, total int) error {
-	tctx := s.tCheckpoint.Start()
-	err := s.spool.writeEnsembleCheckpoint(job.ID, ens)
-	tctx.Stop()
-	if err != nil {
-		return err
-	}
-	job.setProgress(ens.MinStep(), total, ens.MinTime())
-	st := job.Status()
-	if err := s.spool.writeStatus(st); err != nil {
-		return err
-	}
-	job.broker.publish(Event{Type: "checkpoint", JobID: job.ID,
-		Step: st.StepsDone, TotalSteps: total, SimTime: st.SimTime})
-	return nil
+		}, nil
+	})
 }

@@ -39,12 +39,9 @@ import (
 	"repro/internal/sw"
 )
 
-// JobState is one station of the job lifecycle. Transitions:
-//
-//	queued → running → completed | failed | canceled
-//	queued | running → suspended → queued  (resume, possibly new mode)
-//
-// DESIGN.md §9 maps these onto the paper's scheduling concepts.
+// JobState is one station of the job lifecycle; edges in lifecycle.go
+// lists the allowed transitions. DESIGN.md §9 maps these onto the paper's
+// scheduling concepts.
 type JobState string
 
 // The job lifecycle states.

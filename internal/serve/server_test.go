@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -252,7 +254,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // TestAdmissionControl: a saturated queue returns 429 with Retry-After
 // rather than growing; healthz reports the depth.
 func TestAdmissionControl(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
 
 	// One slow job occupies the single worker; two more fill the queue.
 	slow := JobSpec{TestCase: 2, Level: 1, Steps: 4000, StepDelayMS: 10, ReportEvery: 1000}
@@ -285,6 +287,34 @@ func TestAdmissionControl(t *testing.T) {
 	if !rejected {
 		t.Fatal("queue never saturated into a 429")
 	}
+
+	// A rejected admission — a submit, or an import whose checkpoint copy
+	// reaches the spool before the queue says no — leaves no spool
+	// directory, no listing and no gauge drift.
+	onlyAdmitted := func(what string) {
+		t.Helper()
+		dirs, err := os.ReadDir(s.cfg.SpoolDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs float64
+		for _, g := range s.mStateGauges {
+			jobs += g.Value()
+		}
+		if len(dirs) != len(ids) || len(s.Jobs()) != len(ids) || jobs != float64(len(ids)) {
+			t.Errorf("%s: %d spool dirs, %d listed, state gauges sum to %g; want %d of each",
+				what, len(dirs), len(s.Jobs()), jobs, len(ids))
+		}
+	}
+	onlyAdmitted("after a rejected submit")
+	imported := JobStatus{ID: "j-00000000deadbeef", Spec: slow}
+	if _, err := s.Import(imported, strings.NewReader("checkpoint bytes")); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("import into a full queue: %v, want ErrQueueFull", err)
+	}
+	if _, err := s.Job(imported.ID); !errors.Is(err, ErrNotFound) {
+		t.Errorf("rejected import still registered: %v", err)
+	}
+	onlyAdmitted("after a rejected import")
 
 	health := decodeJSON[map[string]any](t, mustGet(t, ts.URL+"/healthz"))
 	if health["status"] != "ok" {

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/sw"
 )
 
 // The spool is the durability layer: one directory per job holding
@@ -100,23 +98,18 @@ func (sp *spool) hasCheckpoint(id string) bool {
 	return err == nil
 }
 
-// writeCheckpoint atomically replaces the job's checkpoint with the
-// solver's current prognostic state.
-func (sp *spool) writeCheckpoint(id string, s *sw.Solver) error {
-	path := sp.checkpointPath(id)
-	tmp := path + ".tmp"
-	if err := s.SaveCheckpoint(tmp); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+// checkpointer is a trajectory that saves itself as one checkpoint file: a
+// single sw.Solver or a whole sw.Ensemble.
+type checkpointer interface {
+	SaveCheckpoint(path string) error
 }
 
-// writeEnsembleCheckpoint atomically replaces the job's checkpoint with the
-// ensemble's current member states.
-func (sp *spool) writeEnsembleCheckpoint(id string, e *sw.Ensemble) error {
+// writeCheckpoint atomically replaces the job's checkpoint with the
+// trajectory's current prognostic state.
+func (sp *spool) writeCheckpoint(id string, cp checkpointer) error {
 	path := sp.checkpointPath(id)
 	tmp := path + ".tmp"
-	if err := e.SaveCheckpoint(tmp); err != nil {
+	if err := cp.SaveCheckpoint(tmp); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

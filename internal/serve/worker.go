@@ -30,20 +30,6 @@ func (s *Server) workerLoop(i int) {
 	}
 }
 
-// claimRun atomically moves a queued job to running, installing the cancel
-// function. Jobs canceled or suspended while queued fail the claim and are
-// simply skipped (their state is already persisted and published).
-func (j *Job) claimRun(cancel func()) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.cancel = cancel
-	return true
-}
-
 // setProgress records trajectory position (in memory; durability rides on
 // the checkpoint cadence).
 func (j *Job) setProgress(steps, total int, simTime float64) {
@@ -54,9 +40,9 @@ func (j *Job) setProgress(steps, total int, simTime float64) {
 	j.mu.Unlock()
 }
 
-// runJob executes one claimed job to its next lifecycle boundary:
-// completion, failure, cancellation, suspension (user or drain), or a
-// crash-like server stop.
+// runJob claims a popped job and executes it to its next lifecycle
+// boundary: completion, failure, cancellation, suspension (user or drain),
+// or a crash-like server stop.
 func (s *Server) runJob(job *Job) {
 	spec := job.Status().Spec // immutable after admission
 
@@ -73,14 +59,12 @@ func (s *Server) runJob(job *Job) {
 	}
 	defer cancel()
 
-	if !job.claimRun(cancel) {
+	// A job canceled or suspended while queued fails the claim and is
+	// skipped: that transition already persisted and published its state.
+	st, err := s.transition(job, StateRunning, func(j *Job) { j.cancel = cancel }, Event{})
+	if err != nil {
 		return
 	}
-	s.mStateGauges[StateQueued].Add(-1)
-	s.mStateGauges[StateRunning].Add(1)
-	st := s.updateJob(job, func(*Job) {}) // persist the running state
-	job.broker.publish(Event{Type: "state", JobID: job.ID, State: StateRunning,
-		Step: st.StepsDone, TotalSteps: st.TotalSteps, SimTime: st.SimTime})
 	runCtx := s.tRun.Start()
 	defer runCtx.Stop()
 	start := time.Now()
@@ -88,14 +72,14 @@ func (s *Server) runJob(job *Job) {
 	// Build the model under the job's currently effective mode.
 	mode, err := mpas.ParseMode(st.Mode)
 	if err != nil {
-		s.finishFailed(job, err)
+		s.finish(job, err, nil, nil)
 		return
 	}
 	buildCtx := s.tBuild.Start()
 	m, err := s.meshForLevel(spec.Level)
 	if err != nil {
 		buildCtx.Stop()
-		s.finishFailed(job, fmt.Errorf("building mesh: %w", err))
+		s.finish(job, fmt.Errorf("building mesh: %w", err), nil, nil)
 		return
 	}
 	model, err := mpas.New(mpas.Options{
@@ -112,7 +96,7 @@ func (s *Server) runJob(job *Job) {
 	})
 	buildCtx.Stop()
 	if err != nil {
-		s.finishFailed(job, fmt.Errorf("building model: %w", err))
+		s.finish(job, fmt.Errorf("building model: %w", err), nil, nil)
 		return
 	}
 	defer model.Close()
@@ -132,7 +116,7 @@ func (s *Server) runJob(job *Job) {
 	// solver (shared mesh + compiled plan); their checkpoint format and
 	// round-robin step loop live in ensemble_run.go.
 	if spec.Ensemble > 1 {
-		s.runEnsemble(ctx, job, solver, spec, st.Mode, st.Resumes, total, ckptEvery, stepDelay, start)
+		s.runEnsemble(ctx, job, solver, st, total, ckptEvery, stepDelay, start)
 		return
 	}
 
@@ -141,7 +125,7 @@ func (s *Server) runJob(job *Job) {
 	// checkpoint overwrites the prognostic state and clock.
 	if s.spool.hasCheckpoint(job.ID) {
 		if err := solver.LoadCheckpoint(s.spool.checkpointPath(job.ID)); err != nil {
-			s.finishFailed(job, fmt.Errorf("loading checkpoint: %w", err))
+			s.finish(job, fmt.Errorf("loading checkpoint: %w", err), nil, nil)
 			return
 		}
 	}
@@ -165,6 +149,9 @@ func (s *Server) runJob(job *Job) {
 		lastCounted = sv.StepCount
 	}
 
+	save := func() error {
+		return s.checkpoint(job, solver, solver.StepCount, total, solver.Time)
+	}
 	runErr := solver.RunControlled(remaining, sw.RunControl{
 		Interrupt:   s.interruptFor(ctx, job, stepDelay),
 		ReportEvery: spec.ReportEvery,
@@ -175,8 +162,8 @@ func (s *Server) runJob(job *Job) {
 			return nil
 		},
 		CheckpointEvery: ckptEvery,
-		Checkpoint: func(sv *sw.Solver) error {
-			if err := s.checkpoint(job, sv, total); err != nil {
+		Checkpoint: func(*sw.Solver) error {
+			if err := save(); err != nil {
 				return fmt.Errorf("writing checkpoint: %w", err)
 			}
 			return nil
@@ -185,15 +172,8 @@ func (s *Server) runJob(job *Job) {
 	job.setProgress(solver.StepCount, total, solver.Time)
 	countSteps(solver)
 
-	switch {
-	case runErr == nil:
-		// Final checkpoint first: the durable state a client downloads (or
-		// a conformance test compares) is exactly the completed trajectory.
-		if err := s.checkpoint(job, solver, total); err != nil {
-			s.finishFailed(job, fmt.Errorf("writing final checkpoint: %w", err))
-			return
-		}
-		res := Result{
+	s.finish(job, runErr, save, func() (Result, error) {
+		return Result{
 			JobID:       job.ID,
 			Steps:       solver.StepCount,
 			SimTime:     solver.Time,
@@ -201,61 +181,8 @@ func (s *Server) runJob(job *Job) {
 			Mode:        st.Mode,
 			Resumes:     st.Resumes,
 			Final:       diagOf(solver.ComputeInvariants()),
-		}
-		if err := s.spool.writeResult(res); err != nil {
-			s.finishFailed(job, fmt.Errorf("writing result: %w", err))
-			return
-		}
-		// Counted before the state flips, so a client that sees the job
-		// completed also sees it in serve_jobs_completed_total.
-		s.mCompleted.Inc()
-		done := s.updateJob(job, func(j *Job) {
-			j.state = StateCompleted
-			j.cancel = nil
-		})
-		job.broker.publish(Event{Type: "done", JobID: job.ID, State: StateCompleted,
-			Step: done.StepsDone, TotalSteps: total, SimTime: done.SimTime, Diag: res.Final})
-		s.cfg.Logf("serve: %s completed (%d steps, %.2fs wall)", job.ID, res.Steps, res.WallSeconds)
-
-	case errors.Is(runErr, errStopped):
-		// Crash-like stop: leave the spool exactly as the last periodic
-		// checkpoint/status write left it; recovery re-admits the job.
-		return
-
-	case errors.Is(runErr, errSuspended):
-		why := job.suspendRequested()
-		if err := s.checkpoint(job, solver, total); err != nil {
-			s.finishFailed(job, fmt.Errorf("suspending: %w", err))
-			return
-		}
-		susp := s.updateJob(job, func(j *Job) {
-			j.state = StateSuspended
-			j.suspendReason = why
-			j.cancel = nil
-		})
-		s.mSuspended.Inc()
-		job.broker.publish(Event{Type: "state", JobID: job.ID, State: StateSuspended,
-			Step: susp.StepsDone, TotalSteps: total, SimTime: susp.SimTime})
-		s.cfg.Logf("serve: %s suspended (%s) at step %d/%d", job.ID, why, susp.StepsDone, total)
-
-	case errors.Is(runErr, context.Canceled):
-		// Keep the last state durable for forensics, then close the job.
-		_ = s.checkpoint(job, solver, total)
-		done := s.updateJob(job, func(j *Job) {
-			j.state = StateCanceled
-			j.cancel = nil
-		})
-		s.mCanceled.Inc()
-		job.broker.publish(Event{Type: "done", JobID: job.ID, State: StateCanceled,
-			Step: done.StepsDone, TotalSteps: total, SimTime: done.SimTime})
-
-	case errors.Is(runErr, context.DeadlineExceeded):
-		_ = s.checkpoint(job, solver, total)
-		s.finishFailed(job, fmt.Errorf("job deadline exceeded after %d/%d steps", solver.StepCount, total))
-
-	default:
-		s.finishFailed(job, runErr)
-	}
+		}, nil
+	})
 }
 
 // interruptFor builds the per-step cooperative interrupt for a job: the
@@ -285,34 +212,20 @@ func (s *Server) interruptFor(ctx context.Context, job *Job, stepDelay time.Dura
 	}
 }
 
-// checkpoint writes the durable pair (ckpt.bin, status.json) and publishes
-// a checkpoint event.
-func (s *Server) checkpoint(job *Job, sv *sw.Solver, total int) error {
+// checkpoint writes the durable pair (ckpt.bin, status.json) of a job at
+// trajectory position (step, simTime) and publishes a checkpoint event.
+func (s *Server) checkpoint(job *Job, cp checkpointer, step, total int, simTime float64) error {
 	tctx := s.tCheckpoint.Start()
-	err := s.spool.writeCheckpoint(job.ID, sv)
+	err := s.spool.writeCheckpoint(job.ID, cp)
 	tctx.Stop()
 	if err != nil {
 		return err
 	}
-	job.setProgress(sv.StepCount, total, sv.Time)
-	st := job.Status()
-	if err := s.spool.writeStatus(st); err != nil {
+	job.setProgress(step, total, simTime)
+	if err := s.spool.writeStatus(job.Status()); err != nil {
 		return err
 	}
 	job.broker.publish(Event{Type: "checkpoint", JobID: job.ID,
-		Step: sv.StepCount, TotalSteps: total, SimTime: sv.Time})
+		Step: step, TotalSteps: total, SimTime: simTime})
 	return nil
-}
-
-// finishFailed moves a job to the failed terminal state.
-func (s *Server) finishFailed(job *Job, err error) {
-	st := s.updateJob(job, func(j *Job) {
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.cancel = nil
-	})
-	s.mFailed.Inc()
-	job.broker.publish(Event{Type: "done", JobID: job.ID, State: StateFailed,
-		Step: st.StepsDone, TotalSteps: st.TotalSteps, SimTime: st.SimTime, Error: err.Error()})
-	s.cfg.Logf("serve: %s failed: %v", job.ID, err)
 }

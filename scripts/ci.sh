@@ -52,6 +52,15 @@ for gmp in 1 2 "$ncpu"; do
         ./internal/par ./internal/sw
 done
 
+echo "== job-lifecycle race stress (serve + cluster, 200 runs) =="
+# A job state visible through GET /jobs/{id} must already have its spool
+# record, its serve_jobs_<state>_total count and its event: the lifecycle
+# test polls every state change for that, and the cluster proxy test reads
+# the done event right after seeing completion. A misordered step shows up
+# only in some interleavings, hence the repeat count.
+go test -race -count=200 -run 'TestLifecycleVisibility$|TestClusterSubmitProxyComplete$' \
+    ./internal/serve ./internal/cluster
+
 echo "== go test -race (with coverage) =="
 go test -race -timeout 20m -coverprofile=coverage.out -coverpkg=./... ./...
 
